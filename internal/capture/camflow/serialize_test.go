@@ -42,7 +42,7 @@ func TestSerializeOnceBreaksRepeatTrials(t *testing.T) {
 
 	// The full pipeline fails with the honest error.
 	rec2 := New(cfg)
-	_, err = provmark.NewRunner(rec2, provmark.Config{Trials: 3}).Run(prog)
+	_, err = provmark.New(rec2, provmark.WithTrials(3)).Run(prog)
 	if !errors.Is(err, provmark.ErrInconsistentTrials) {
 		t.Errorf("want ErrInconsistentTrials under serialize-once, got %v", err)
 	}
@@ -54,7 +54,7 @@ func TestReserializationWorkaroundRestoresRepeatability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterPeriod = 0
 	prog, _ := benchprog.ByName("open")
-	res, err := provmark.NewRunner(New(cfg), provmark.Config{Trials: 2}).Run(prog)
+	res, err := provmark.New(New(cfg), provmark.WithTrials(2)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func runPipeline(t *testing.T, cfg Config, benchName string) *provmark.Result {
 	if !ok {
 		t.Fatalf("unknown benchmark %s", benchName)
 	}
-	res, err := provmark.NewRunner(New(cfg), provmark.Config{}).Run(prog)
+	res, err := provmark.New(New(cfg)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCamFlowReporterInheritsLSMGaps(t *testing.T) {
 // denied checks, so the failed-call blindness carries over.
 func TestCamFlowReporterStillBlindToDenied(t *testing.T) {
 	prog := benchprog.FailedRename()
-	res, err := provmark.NewRunner(New(camflowReporterConfig()), provmark.Config{}).Run(prog)
+	res, err := provmark.New(New(camflowReporterConfig())).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,6 @@ var engineLineup = []struct {
 }{
 	{"interned-seq", func(db *datalog.Database, rs []datalog.Rule) error { return db.RunParallel(rs, 1) }},
 	{"interned-par", func(db *datalog.Database, rs []datalog.Rule) error { return db.RunParallel(rs, 3) }},
-	{"strings", (*datalog.Database).RunStrings},
 	{"naive", (*datalog.Database).RunNaive},
 }
 

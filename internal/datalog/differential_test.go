@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -145,8 +146,8 @@ func genProgram(rng *rand.Rand) ([]Rule, []Fact) {
 // TestDifferentialSemiNaiveVsNaive is the acceptance gate of the
 // engine rewrites: on the randomized corpus, the full engine lineup —
 // interned sequential (Run at width 1), interned parallel
-// (RunParallel at width 3), the frozen string engine (RunStrings) and
-// the frozen naive oracle (RunNaive) — must either fail identically or
+// (RunParallel at width 3) and the frozen naive oracle (RunNaive) —
+// must either fail identically or
 // derive byte-identical sorted fact sets. The two interned variants
 // must additionally agree on every evaluation counter, the exactness
 // guarantee of the round-barrier design.
@@ -157,7 +158,6 @@ func TestDifferentialSemiNaiveVsNaive(t *testing.T) {
 	}{
 		{"interned-seq", func(db *Database, rules []Rule) error { return db.RunParallel(rules, 1) }},
 		{"interned-par", func(db *Database, rules []Rule) error { return db.RunParallel(rules, 3) }},
-		{"strings", (*Database).RunStrings},
 		{"naive", (*Database).RunNaive},
 	}
 	rng := rand.New(rand.NewSource(20260728))
@@ -196,21 +196,21 @@ func TestDifferentialSemiNaiveVsNaive(t *testing.T) {
 	}
 }
 
-// TestDifferentialMixedArityFallback pins the mixed-arity escape
-// hatch: predicates asserted (or derived) at more than one arity push
-// their strata onto the string engine, and every engine still agrees.
-func TestDifferentialMixedArityFallback(t *testing.T) {
+// TestArityMismatchRejected: a predicate used at two arities — against
+// its stored facts, across rule heads, or under negation — makes Run
+// fail with an arity mismatch before any stratum evaluates.
+func TestArityMismatchRejected(t *testing.T) {
 	programs := []string{
-		// p asserted at arity 1 and 2 before evaluation.
+		// Rules use p at arity 1 and 2; p is stored at arity 2.
 		"q(X) :- p(X).\nr(X, Y) :- p(X, Y).",
 		// Rules themselves derive p at two arities.
 		"p(X) :- b(X).\np(X, X) :- b(X).\nq(Y) :- p(Y, Y).",
-		// Mixed-arity predicate under negation.
+		// p at the wrong arity under negation.
 		"q(X) :- b(X), not p(X).",
 	}
 	baseFacts := []Fact{
-		{Pred: "p", Args: []string{"a"}},
 		{Pred: "p", Args: []string{"a", "b"}},
+		{Pred: "p", Args: []string{"a"}}, // refused: p is arity 2
 		{Pred: "b", Args: []string{"a"}},
 		{Pred: "b", Args: []string{"c"}},
 	}
@@ -219,23 +219,16 @@ func TestDifferentialMixedArityFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}
-		run := func(eval func(*Database, []Rule) error) (*Database, error) {
-			db := NewDatabase()
-			for _, f := range baseFacts {
-				db.Assert(f)
-			}
-			return db, eval(db, rules)
+		db := NewDatabase()
+		for _, f := range baseFacts {
+			db.Assert(f)
 		}
-		interned, errI := run((*Database).Run)
-		str, errS := run((*Database).RunStrings)
-		if (errI == nil) != (errS == nil) {
-			t.Fatalf("program %d: acceptance differs: interned=%v strings=%v", i, errI, errS)
+		err = db.Run(rules)
+		if err == nil || !strings.Contains(err.Error(), "arity mismatch") {
+			t.Errorf("program %d: Run = %v, want an arity mismatch", i, err)
 		}
-		if errI != nil {
-			continue
-		}
-		if got, want := dumpFacts(interned), dumpFacts(str); got != want {
-			t.Errorf("program %d: fact sets differ\ninterned:\n%s\nstrings:\n%s", i, got, want)
+		if got := db.Stats().Derived; got != 0 {
+			t.Errorf("program %d: derived %d facts before rejecting", i, got)
 		}
 	}
 }

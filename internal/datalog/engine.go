@@ -1,32 +1,19 @@
 package datalog
 
-// The string-tuple semi-naive engine: a stratified fixpoint over
-// per-predicate bound-position indexes, operating on Fact values and
-// map[string]string bindings.
+// Static checks and stratification shared by every evaluator, plus the
+// evaluation counters.
 //
+//   - Safety. checkRules rejects negated heads, head wildcards, unbound
+//     head variables and variables under negation that no preceding
+//     positive atom binds, even when no fact would ever reach the rule.
 //   - Stratum ordering. Rules are grouped by the stratum of their head
 //     predicate (Ullman's algorithm over the predicate dependency
 //     graph), so non-recursive predicates finalize once and negation
 //     over derived-but-finalized predicates from lower strata is sound.
 //     Only recursion *through negation* is rejected.
-//   - Delta relations. Within a stratum, after the initial round a
-//     rule only re-joins against the facts derived in the previous
-//     round: each recursive body atom in turn is restricted to the
-//     delta while the others join the full relations. Deriving nothing
-//     new ends the stratum.
-//   - Bound-position indexes. A join with at least one bound argument
-//     (a constant, or a variable bound by an earlier atom) probes a
-//     hash index keyed by the bound positions' values instead of
-//     scanning the predicate's full extent. Indexes are built on first
-//     probe and extended lazily as facts arrive.
 //
-// This engine is no longer the production path: Run (interned.go)
-// evaluates the same language over interned uint32 columns with
-// round-barrier parallel delta joins, and the differential corpus
-// proves the two derive byte-identical fact sets. RunStrings stays as
-// the frozen mid-fidelity reference between Run and the naive oracle
-// (naive.go), and as the fallback for mixed-arity predicates the
-// columnar layout cannot hold.
+// Run (interned.go) evaluates each stratum semi-naively over interned
+// columns; RunNaive (naive.go) is the frozen differential oracle.
 //
 // Every candidate fact an evaluation examines — an index bucket entry
 // or a full-scan element — counts one JoinProbe, which is how the
@@ -55,153 +42,13 @@ type EvalStats struct {
 // Stats returns a snapshot of the database's evaluation counters.
 func (db *Database) Stats() EvalStats { return db.stats }
 
-// predIndex is one hash index of a predicate's facts, keyed by the
-// values at a fixed set of argument positions. built tracks how many
-// of the predicate's facts have been indexed so far, so the index
-// extends incrementally as evaluation derives new facts.
-type predIndex struct {
-	positions []int
-	built     int
-	m         map[string][]int // value key -> fact indices
-}
-
-// indexFor returns the (lazily built, incrementally extended) index of
-// pred keyed by the given argument positions.
-func (db *Database) indexFor(pred string, positions []int) *predIndex {
-	rel := db.rels[pred]
-	if rel == nil {
-		return &predIndex{positions: positions, m: map[string][]int{}}
-	}
-	sig := positionSig(positions)
-	if rel.strIdx == nil {
-		rel.strIdx = map[string]*predIndex{}
-	}
-	ix := rel.strIdx[sig]
-	if ix == nil {
-		ix = &predIndex{positions: positions, m: map[string][]int{}}
-		rel.strIdx[sig] = ix
-	}
-	facts := rel.strings(db)
-	for ; ix.built < len(facts); ix.built++ {
-		f := facts[ix.built]
-		if len(ix.positions) > 0 && ix.positions[len(ix.positions)-1] >= len(f.Args) {
-			continue // arity mismatch; unify would reject it anyway
-		}
-		k := factKeyAt(f, ix.positions)
-		ix.m[k] = append(ix.m[k], ix.built)
-	}
-	return ix
-}
-
+// positionSig renders an index's argument positions as its map key.
 func positionSig(positions []int) string {
 	parts := make([]string, len(positions))
 	for i, p := range positions {
 		parts[i] = strconv.Itoa(p)
 	}
 	return strings.Join(parts, ",")
-}
-
-func factKeyAt(f Fact, positions []int) string {
-	vals := make([]string, len(positions))
-	for i, p := range positions {
-		vals[i] = f.Args[p]
-	}
-	return strings.Join(vals, "\x00")
-}
-
-// boundPositions lists the atom's argument positions whose value is
-// fixed under the binding (constants, and variables bound by earlier
-// atoms), together with those values.
-func boundPositions(a Atom, b binding) (positions []int, values []string) {
-	for i, t := range a.Terms {
-		switch {
-		case t.Wild:
-		case t.Var == "":
-			positions = append(positions, i)
-			values = append(values, t.Const)
-		default:
-			if v, ok := b[t.Var]; ok {
-				positions = append(positions, i)
-				values = append(values, v)
-			}
-		}
-	}
-	return positions, values
-}
-
-// joinPositive extends each binding in turn by matching atom a against
-// the database, probing a bound-position index when any argument is
-// bound and scanning the predicate's extent otherwise.
-func (db *Database) joinPositive(a Atom, b binding, out []binding) []binding {
-	facts := db.stringFacts(a.Pred)
-	positions, values := boundPositions(a, b)
-	if len(positions) == 0 {
-		db.stats.JoinProbes += int64(len(facts))
-		for i := range facts {
-			if nb, ok := unify(a, facts[i], b); ok {
-				out = append(out, nb)
-			}
-		}
-		return out
-	}
-	ix := db.indexFor(a.Pred, positions)
-	cand := ix.m[strings.Join(values, "\x00")]
-	db.stats.JoinProbes += int64(len(cand))
-	for _, i := range cand {
-		if nb, ok := unify(a, facts[i], b); ok {
-			out = append(out, nb)
-		}
-	}
-	return out
-}
-
-// negHolds reports whether any fact matches the (fully bound, modulo
-// wildcards) negated atom under the binding.
-func (db *Database) negHolds(a Atom, b binding) bool {
-	pos := Atom{Pred: a.Pred, Terms: a.Terms}
-	facts := db.stringFacts(a.Pred)
-	positions, values := boundPositions(pos, b)
-	if len(positions) == 0 {
-		for i := range facts {
-			db.stats.JoinProbes++
-			if _, ok := unify(pos, facts[i], b); ok {
-				return true
-			}
-		}
-		return false
-	}
-	ix := db.indexFor(a.Pred, positions)
-	cand := ix.m[strings.Join(values, "\x00")]
-	for _, i := range cand {
-		db.stats.JoinProbes++
-		if _, ok := unify(pos, facts[i], b); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// RunStrings evaluates the rules with the original string-tuple
-// semi-naive engine this package used before the interned columnar
-// rewrite. It accepts exactly the same programs as Run and derives
-// byte-identical fact sets (the differential corpus proves it); it is
-// kept as a frozen reference point between Run and RunNaive, and as
-// the evaluation path for strata touching mixed-arity predicates.
-func (db *Database) RunStrings(rules []Rule) error {
-	if err := checkRules(rules); err != nil {
-		return err
-	}
-	strata, err := stratify(rules)
-	if err != nil {
-		return err
-	}
-	db.stats.Strata = len(strata)
-	for _, stratum := range strata {
-		if err := db.runStratum(stratum); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // checkRules statically enforces rule safety, so unsafe rules fail
@@ -237,6 +84,38 @@ func checkRules(rules []Rule) error {
 				return fmt.Errorf("datalog: wildcard in rule head %s", r.Head)
 			case t.Var != "" && !bound[t.Var]:
 				return fmt.Errorf("datalog: unbound head variable %s in %s", t.Var, r.Head)
+			}
+		}
+	}
+	return nil
+}
+
+// checkArities rejects a program that uses a predicate at two
+// arities, or at an arity other than that of the predicate's stored
+// relation: the columnar store holds exactly one arity per predicate.
+func (db *Database) checkArities(rules []Rule) error {
+	arity := map[string]int{}
+	check := func(a Atom) error {
+		want, seen := arity[a.Pred]
+		if !seen {
+			want = len(a.Terms)
+			if rel := db.rels[a.Pred]; rel != nil {
+				want = rel.arity
+			}
+			arity[a.Pred] = want
+		}
+		if len(a.Terms) != want {
+			return fmt.Errorf("datalog: arity mismatch: %s has arity %d, but %s has arity %d", a, len(a.Terms), a.Pred, want)
+		}
+		return nil
+	}
+	for _, r := range rules {
+		if err := check(r.Head); err != nil {
+			return err
+		}
+		for _, a := range r.Body {
+			if err := check(a); err != nil {
+				return err
 			}
 		}
 	}
@@ -306,87 +185,4 @@ func stratify(rules []Rule) ([][]Rule, error) {
 		}
 	}
 	return kept, nil
-}
-
-// runStratum evaluates one stratum's rules to a fixed point: an
-// initial naive round over the current database seeds the delta, then
-// each following round re-joins every recursive body atom against the
-// previous round's delta only.
-func (db *Database) runStratum(rules []Rule) error {
-	cur := map[string]bool{}
-	for _, r := range rules {
-		cur[r.Head.Pred] = true
-	}
-	delta := map[string][]Fact{}
-	assert := func(f Fact) {
-		if db.Assert(f) {
-			db.stats.Derived++
-			delta[f.Pred] = append(delta[f.Pred], f)
-		}
-	}
-	db.stats.Iterations++
-	for _, r := range rules {
-		if err := db.evalRule(r, nil, -1, assert); err != nil {
-			return err
-		}
-	}
-	for len(delta) > 0 {
-		db.stats.Iterations++
-		prev := delta
-		delta = map[string][]Fact{}
-		for _, r := range rules {
-			for pos, a := range r.Body {
-				if a.Negated || !cur[a.Pred] || len(prev[a.Pred]) == 0 {
-					continue
-				}
-				if err := db.evalRule(r, prev[a.Pred], pos, assert); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// evalRule joins the rule body left to right and asserts the
-// instantiated heads. When deltaPos >= 0, the body atom at that
-// position matches only the delta facts — the semi-naive restriction —
-// while every other atom joins the full relations.
-func (db *Database) evalRule(r Rule, deltaFacts []Fact, deltaPos int, assert func(Fact)) error {
-	bindings := []binding{{}}
-	for i, atom := range r.Body {
-		var next []binding
-		if atom.Negated {
-			for _, b := range bindings {
-				if !db.negHolds(atom, b) {
-					next = append(next, b)
-				}
-			}
-		} else if i == deltaPos {
-			db.stats.JoinProbes += int64(len(deltaFacts)) * int64(len(bindings))
-			for _, b := range bindings {
-				for _, f := range deltaFacts {
-					if nb, ok := unify(atom, f, b); ok {
-						next = append(next, nb)
-					}
-				}
-			}
-		} else {
-			for _, b := range bindings {
-				next = db.joinPositive(atom, b, next)
-			}
-		}
-		bindings = next
-		if len(bindings) == 0 {
-			return nil
-		}
-	}
-	for _, b := range bindings {
-		f, err := substitute(r.Head, b)
-		if err != nil {
-			return err // unreachable after checkRules; kept for safety
-		}
-		assert(f)
-	}
-	return nil
 }

@@ -264,15 +264,29 @@ func TestIndexExtension(t *testing.T) {
 	}
 }
 
-// TestArityMismatchIndexing: facts of the same predicate with
-// different arities must neither crash index building nor unify.
+// TestArityMismatchIndexing: a relation's first fact fixes its arity;
+// a fact of another arity is refused without storing anything, and
+// goals at the wrong arity match nothing.
 func TestArityMismatchIndexing(t *testing.T) {
 	db := NewDatabase()
-	db.Assert(Fact{Pred: "p", Args: []string{"a"}})
-	db.Assert(Fact{Pred: "p", Args: []string{"a", "b"}})
-	res := db.Query(Atom{Pred: "p", Terms: []Term{C("a"), V("X")}})
-	if len(res) != 1 || res[0]["X"] != "b" {
-		t.Errorf("query = %v, want [{X:b}]", res)
+	if !db.Assert(Fact{Pred: "p", Args: []string{"a"}}) {
+		t.Fatal("first assert refused")
+	}
+	syms := len(db.syms)
+	if db.Assert(Fact{Pred: "p", Args: []string{"a", "b"}}) {
+		t.Error("second-arity assert reported new")
+	}
+	if n := db.NumFacts("p"); n != 1 {
+		t.Errorf("p holds %d facts, want 1", n)
+	}
+	if len(db.syms) != syms {
+		t.Errorf("refused assert interned %d constants", len(db.syms)-syms)
+	}
+	if res := db.Query(Atom{Pred: "p", Terms: []Term{C("a"), V("X")}}); len(res) != 0 {
+		t.Errorf("arity-2 query = %v, want no matches", res)
+	}
+	if res := db.Query(Atom{Pred: "p", Terms: []Term{V("X")}}); len(res) != 1 || res[0]["X"] != "a" {
+		t.Errorf("arity-1 query = %v, want [{X:a}]", res)
 	}
 }
 

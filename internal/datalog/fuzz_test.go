@@ -1,6 +1,9 @@
 package datalog
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // fuzzBaseFacts ground the fuzzed rules: every predicate the seed
 // corpus mentions gets a few facts, so accepted rules actually derive
@@ -55,10 +58,11 @@ func FuzzParseRule(f *testing.F) {
 		}
 		// Cross-engine invariant: every accepted rule, evaluated over a
 		// small fixed fact base, must behave identically on the interned
-		// sequential, interned parallel and frozen string engines —
-		// acceptance, derived fact set and (across interned widths)
-		// evaluation counters. The naive oracle only speaks the
-		// semipositive fragment, so it is compared when it accepts.
+		// sequential and parallel engines — acceptance, derived fact set
+		// and evaluation counters. The naive oracle only speaks the
+		// semipositive fragment, so it is compared when it accepts, and
+		// it must reject whatever Run rejects except arity mismatches,
+		// which only Run checks.
 		if len(r.Body) > 6 {
 			return // keep cross products over the fact base bounded
 		}
@@ -72,13 +76,12 @@ func FuzzParseRule(f *testing.F) {
 		}
 		seqDB, errSeq := run(func(db *Database, rs []Rule) error { return db.RunParallel(rs, 1) })
 		parDB, errPar := run(func(db *Database, rs []Rule) error { return db.RunParallel(rs, 3) })
-		strDB, errStr := run((*Database).RunStrings)
 		naiveDB, errNaive := run((*Database).RunNaive)
-		if (errSeq == nil) != (errPar == nil) || (errSeq == nil) != (errStr == nil) {
-			t.Fatalf("engines disagree on acceptance of %q: seq=%v par=%v strings=%v", rendered, errSeq, errPar, errStr)
+		if (errSeq == nil) != (errPar == nil) {
+			t.Fatalf("engines disagree on acceptance of %q: seq=%v par=%v", rendered, errSeq, errPar)
 		}
 		if errSeq != nil {
-			if errNaive == nil {
+			if errNaive == nil && !strings.Contains(errSeq.Error(), "arity mismatch") {
 				t.Fatalf("naive accepts rule the stratified engines reject: %q (stratified err: %v)", rendered, errSeq)
 			}
 			return
@@ -86,9 +89,6 @@ func FuzzParseRule(f *testing.F) {
 		want := dumpFacts(seqDB)
 		if got := dumpFacts(parDB); got != want {
 			t.Fatalf("parallel fact set differs for %q\nseq:\n%s\npar:\n%s", rendered, want, got)
-		}
-		if got := dumpFacts(strDB); got != want {
-			t.Fatalf("string-engine fact set differs for %q\nseq:\n%s\nstrings:\n%s", rendered, want, got)
 		}
 		if errNaive == nil {
 			if got := dumpFacts(naiveDB); got != want {

@@ -19,14 +19,11 @@ package datalog
 // buffers merge into the columns in deterministic task order and the
 // counters sum, so the derived fact order and every EvalStats counter
 // are bit-identical at any worker-pool width — parallelism is purely a
-// wall-clock lever. (The string engine asserts mid-round, so its
-// JoinProbes/Iterations can differ from the barrier engine's; the
-// differential corpus pins the derived fact sets to byte equality
-// across all engines.)
+// wall-clock lever.
 //
-// Strata touching a mixed-arity predicate — or whose atoms disagree
-// with a relation's arity — fall back to the frozen string engine
-// (runStratum), which handles the general case bit-for-bit as before.
+// A predicate's relation holds exactly one arity, so Run rejects a
+// program that uses a predicate at two arities, or at an arity other
+// than its stored relation's, before any stratum evaluates.
 
 import (
 	"runtime"
@@ -36,9 +33,9 @@ import (
 
 // intIndex is a bound-position hash index over a relation's columns,
 // keyed by the packed little-endian bytes of the values at a fixed set
-// of argument positions. Like predIndex it extends incrementally via a
-// row watermark, but extension happens only at round starts (never
-// mid-round), so parallel workers read it without locks.
+// of argument positions. It extends incrementally via a row watermark;
+// Run extends it only at round starts (never mid-round), so parallel
+// workers read it without locks, and Query extends it before probing.
 type intIndex struct {
 	positions []int
 	built     int
@@ -165,9 +162,8 @@ type iWorkspace struct {
 
 // Run evaluates the rules with the interned columnar engine, using the
 // parallelism configured by SetParallelism (by default
-// min(GOMAXPROCS, 8) workers). It accepts exactly the programs
-// RunStrings accepts and derives byte-identical fact sets; counters
-// and fact order are identical at every worker width.
+// min(GOMAXPROCS, 8) workers). Counters and fact order are identical
+// at every worker width.
 func (db *Database) Run(rules []Rule) error {
 	return db.RunParallel(rules, db.workers)
 }
@@ -182,6 +178,9 @@ func (db *Database) RunParallel(rules []Rule, workers int) error {
 			workers = 8
 		}
 	}
+	if err := db.checkArities(rules); err != nil {
+		return err
+	}
 	if err := checkRules(rules); err != nil {
 		return err
 	}
@@ -191,50 +190,15 @@ func (db *Database) RunParallel(rules []Rule, workers int) error {
 	}
 	db.stats.Strata = len(strata)
 	for _, stratum := range strata {
-		cs, ok := db.compileStratum(stratum)
-		if !ok {
-			// Mixed-arity territory: the string engine speaks it.
-			if err := db.runStratum(stratum); err != nil {
-				return err
-			}
-			continue
-		}
-		db.runStratumInterned(cs, workers)
+		db.runStratumInterned(db.compileStratum(stratum), workers)
 	}
 	return nil
 }
 
 // compileStratum compiles one stratum's rules against the database's
-// relations. It reports ok=false — meaning the caller must use the
-// string engine — when any touched relation is mixed or any atom/head
-// arity disagrees with a relation (existing or implied), since the
-// columnar layout is strictly fixed-arity.
-func (db *Database) compileStratum(rules []Rule) (*compiledStratum, bool) {
-	// Arity consistency across every predicate the stratum touches.
-	arity := map[string]int{}
-	check := func(pred string, n int) bool {
-		if rel := db.rels[pred]; rel != nil {
-			if rel.mixed || rel.arity != n {
-				return false
-			}
-			return true
-		}
-		if a, seen := arity[pred]; seen && a != n {
-			return false
-		}
-		arity[pred] = n
-		return true
-	}
-	for _, r := range rules {
-		if !check(r.Head.Pred, len(r.Head.Terms)) {
-			return nil, false
-		}
-		for _, a := range r.Body {
-			if !check(a.Pred, len(a.Terms)) {
-				return nil, false
-			}
-		}
-	}
+// relations; checkArities has already matched every atom's arity to
+// its relation.
+func (db *Database) compileStratum(rules []Rule) *compiledStratum {
 	cs := &compiledStratum{headIdx: map[string]int{}}
 	heads := map[string]*relation{}
 	for _, r := range rules {
@@ -266,7 +230,7 @@ func (db *Database) compileStratum(rules []Rule) (*compiledStratum, bool) {
 			}
 		}
 	}
-	return cs, true
+	return cs
 }
 
 // compileRule lowers one rule: variables map to slots in first-binding
@@ -291,8 +255,8 @@ func (db *Database) compileRule(r Rule, heads map[string]*relation) cRule {
 		} else {
 			ca.rel = db.rels[a.Pred]
 		}
-		// Mirror boundPositions: positions with a constant or an
-		// already-bound variable form the probe key, in term order.
+		// Positions with a constant or an already-bound variable form
+		// the probe key, in term order.
 		atomSeen := map[string]uint32{}
 		for i, t := range a.Terms {
 			switch {
@@ -574,8 +538,8 @@ func buildKey(buf []byte, parts []keyPart, row []uint32) []byte {
 }
 
 // negHoldsInterned reports whether any fact matches the negated atom
-// under the binding row, counting one probe per candidate examined —
-// the same early-exit convention as the string engine's negHolds.
+// under the binding row, counting one probe per candidate examined up
+// to and including the first match.
 func negHoldsInterned(a *cAtom, row []uint32, ws *iWorkspace, probes *int64) bool {
 	if a.rel == nil || a.rel.rows == 0 {
 		return false

@@ -12,7 +12,13 @@ import "fmt"
 // semi-naive engine (Run) derives identical fact sets, and
 // BenchmarkDatalogAncestry measures the join-probe gap between the
 // two. Do not use it outside tests and benchmarks.
+//
+// It shares Run's static safety check, so an unsafe rule is rejected
+// even when no binding ever reaches its head.
 func (db *Database) RunNaive(rules []Rule) error {
+	if err := checkRules(rules); err != nil {
+		return err
+	}
 	heads := map[string]bool{}
 	for _, r := range rules {
 		heads[r.Head.Pred] = true
@@ -32,13 +38,6 @@ func (db *Database) RunNaive(rules []Rule) error {
 				var next []binding
 				if atom.Negated {
 					for _, b := range bindings {
-						for _, t := range atom.Terms {
-							if t.Var != "" {
-								if _, ok := b[t.Var]; !ok {
-									return fmt.Errorf("datalog: unbound variable %s under negation in %s", t.Var, atom)
-								}
-							}
-						}
 						matched := false
 						for _, f := range db.stringFacts(atom.Pred) {
 							db.stats.JoinProbes++

@@ -11,9 +11,10 @@ import (
 
 // This file defines the rule language of the Datalog evaluator over
 // the n/e/p fact representation of provenance graphs: terms, atoms,
-// rules, the fact database, and the concrete-syntax parser. The
-// evaluation engines live in engine.go (the production semi-naive
-// engine) and naive.go (the frozen naive reference).
+// rules, the fact database, goal queries over its interned indexes,
+// and the concrete-syntax parser. Rules are evaluated by the interned
+// semi-naive engine (interned.go, with the static checks in engine.go)
+// and by the frozen naive reference (naive.go).
 //
 // The paper stores benchmark results as Datalog precisely so that they
 // can be queried; the Dora use case (Section 3.1, suspicious-activity
@@ -118,40 +119,30 @@ func (f Fact) String() string {
 // relation is the columnar store of one predicate's facts: every
 // constant is interned into the database's symbol table and each
 // argument position lives in its own dense []uint32 column, so the
-// interned engine joins integers, never strings. The string-facing
-// surfaces (Facts, the frozen string engines, Query formatting)
-// materialize Fact values lazily from the columns through the symbol
-// table, extending a per-relation watermark cache — columns are
-// append-only, so the cache never invalidates.
-//
-// Predicates asserted with more than one arity (legal, if exotic)
-// flip the relation into mixed mode: a plain []Fact list that the
-// string engines evaluate as before, while the interned engine falls
-// back to the string path for any stratum touching it.
+// engine and Query join integers, never strings. A relation's arity is
+// fixed when it is created — by its first fact, or by the first Run
+// rule deriving it — and facts of any other arity are refused. The
+// naive oracle's string view materializes Fact values lazily from the
+// columns through the symbol table, extending a per-relation
+// watermark cache — columns are append-only, so the cache never
+// invalidates.
 type relation struct {
 	pred  string
 	arity int
-	cols  [][]uint32 // one column per argument position; nil when mixed
+	cols  [][]uint32 // one column per argument position
 	rows  int
-	// htab dedups regular relations without per-fact allocation: an
-	// open-addressing table of row indices whose keys ARE the column
-	// values (compare-on-probe), grown at 3/4 load. Mixed relations
-	// fall back to dedup, a packed-tuple map (tuple byte length encodes
-	// arity, so arities cannot collide).
-	htab  []int32
-	dedup map[string]struct{}
-	// strFacts lazily mirrors the columns as Fact values; in mixed mode
-	// it is the authoritative (and complete) fact list.
+	// htab dedups rows without per-fact allocation: an open-addressing
+	// table of row indices whose keys ARE the column values
+	// (compare-on-probe), grown at 3/4 load.
+	htab []int32
+	// strFacts lazily mirrors the columns as Fact values.
 	strFacts []Fact
-	mixed    bool
 	// listed records whether the predicate has entered db.preds — it
 	// does on the first stored row, not on relation creation, so
 	// pre-created head relations that never derive stay invisible.
 	listed bool
-	// strIdx holds the string engines' bound-position indexes, intIdx
-	// the interned engine's integer-keyed ones; both build on first
-	// probe and extend lazily as rows arrive.
-	strIdx map[string]*predIndex
+	// intIdx holds the bound-position indexes Run and Query probe; each
+	// builds on first use and extends lazily as rows arrive.
 	intIdx map[string]*intIndex
 }
 
@@ -166,7 +157,7 @@ type Database struct {
 	stats EvalStats
 	// workers is the Run worker-pool width; 0 selects automatically.
 	workers int
-	keyBuf  []byte      // scratch for packed dedup/index keys
+	keyBuf  []byte      // scratch for packed index keys
 	tupBuf  []uint32    // scratch for interned tuples
 	ws      *iWorkspace // sequential evaluation scratch, reused across runs
 }
@@ -193,7 +184,7 @@ func (db *Database) intern(s string) uint32 {
 }
 
 // packTuple appends the 4-byte little-endian encoding of each value —
-// the canonical map key for dedup and integer indexes.
+// the canonical map key of the integer indexes.
 func packTuple(buf []byte, vals []uint32) []byte {
 	for _, v := range vals {
 		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -202,26 +193,16 @@ func packTuple(buf []byte, vals []uint32) []byte {
 }
 
 // Assert adds a fact if not already present; it reports whether the
-// fact was new.
+// fact was new. A fact whose arity differs from its predicate's
+// relation is refused: Assert stores nothing and reports false.
 func (db *Database) Assert(f Fact) bool {
 	rel := db.getRel(f.Pred, len(f.Args))
+	if len(f.Args) != rel.arity {
+		return false
+	}
 	db.tupBuf = db.tupBuf[:0]
 	for _, a := range f.Args {
 		db.tupBuf = append(db.tupBuf, db.intern(a))
-	}
-	if !rel.mixed && len(f.Args) != rel.arity {
-		rel.toMixed(db)
-	}
-	if rel.mixed {
-		db.keyBuf = packTuple(db.keyBuf[:0], db.tupBuf)
-		if _, dup := rel.dedup[string(db.keyBuf)]; dup {
-			return false
-		}
-		rel.dedup[string(db.keyBuf)] = struct{}{}
-		rel.strFacts = append(rel.strFacts, Fact{Pred: f.Pred, Args: append([]string(nil), f.Args...)})
-		rel.rows++
-		db.list(rel)
-		return true
 	}
 	return db.assertInterned(rel, db.tupBuf)
 }
@@ -250,9 +231,8 @@ func (db *Database) list(rel *relation) {
 }
 
 // assertInterned is Assert for an already-interned tuple — the
-// interned engine's merge path, which never touches strings. The
-// relation must be regular (non-mixed) with matching arity; the
-// engine's compiler guarantees both.
+// interned engine's merge path, which never touches strings. The tuple
+// must match the relation's arity; Run's arity check guarantees it.
 func (db *Database) assertInterned(rel *relation, tuple []uint32) bool {
 	if !rel.insertTuple(tuple) {
 		return false
@@ -334,31 +314,9 @@ func (rel *relation) grow() {
 	}
 }
 
-// toMixed converts a columnar relation to a plain fact list after a
-// mixed-arity assert; the interned engine refuses mixed relations and
-// evaluates such strata through the string path instead.
-func (rel *relation) toMixed(db *Database) {
-	rel.strings(db) // materialize every row first
-	rel.dedup = make(map[string]struct{}, rel.rows)
-	tuple := make([]uint32, rel.arity)
-	for r := 0; r < rel.rows; r++ {
-		for i := range tuple {
-			tuple[i] = rel.cols[i][r]
-		}
-		rel.dedup[string(packTuple(nil, tuple))] = struct{}{}
-	}
-	rel.mixed = true
-	rel.cols = nil
-	rel.htab = nil
-	rel.intIdx = nil
-}
-
 // strings materializes (and caches) the relation's facts as string
-// tuples; in mixed mode the cache is the store itself.
+// tuples.
 func (rel *relation) strings(db *Database) []Fact {
-	if rel.mixed {
-		return rel.strFacts
-	}
 	for r := len(rel.strFacts); r < rel.rows; r++ {
 		args := make([]string, rel.arity)
 		for i := range args {
@@ -370,9 +328,8 @@ func (rel *relation) strings(db *Database) []Fact {
 }
 
 // stringFacts returns a predicate's facts as string tuples in
-// assertion order — the view the frozen string engines and the query
-// formatter share. The returned slice is the cache; callers must not
-// mutate it.
+// assertion order — the naive oracle's view. The returned slice is the
+// cache; callers must not mutate it.
 func (db *Database) stringFacts(pred string) []Fact {
 	rel := db.rels[pred]
 	if rel == nil {
@@ -381,9 +338,24 @@ func (db *Database) stringFacts(pred string) []Fact {
 	return rel.strings(db)
 }
 
-// Facts returns the tuples of a predicate in assertion order.
+// Facts returns the tuples of a predicate in assertion order. The
+// result is the caller's own: its Args share one fresh backing slice,
+// never the database's storage.
 func (db *Database) Facts(pred string) []Fact {
-	return append([]Fact(nil), db.stringFacts(pred)...)
+	rel := db.rels[pred]
+	if rel == nil || rel.rows == 0 {
+		return nil
+	}
+	out := make([]Fact, rel.rows)
+	args := make([]string, rel.rows*rel.arity)
+	for r := range out {
+		row := args[r*rel.arity : (r+1)*rel.arity : (r+1)*rel.arity]
+		for i := range row {
+			row[i] = db.syms[rel.cols[i][r]]
+		}
+		out[r] = Fact{Pred: pred, Args: row}
+	}
+	return out
 }
 
 // Predicates returns every predicate with at least one fact, in
@@ -494,25 +466,80 @@ func substitute(head Atom, b binding) (Fact, error) {
 // the matching bindings, deduplicated and sorted for determinism.
 // Deduplication matters for goals with wildcards: q(X, _) over q(a,b)
 // and q(a,c) yields {X:a} once, not once per matching fact.
+//
+// A goal with constants probes the relation's interned index on the
+// constant positions, counting one JoinProbe per row in the bucket; a
+// goal without constants scans every row, counting one each. A
+// constant no fact mentions, or a goal whose arity differs from the
+// relation's, matches nothing.
 func (db *Database) Query(goal Atom) []map[string]string {
-	var out []map[string]string
-	dedup := map[string]bool{}
-	for _, b := range db.joinPositive(Atom{Pred: goal.Pred, Terms: goal.Terms}, binding{}, nil) {
-		k := bindingKey(b)
-		if dedup[k] {
+	rel := db.rels[goal.Pred]
+	if rel == nil || rel.rows == 0 || len(goal.Terms) != rel.arity {
+		return nil
+	}
+	var positions []int
+	db.tupBuf = db.tupBuf[:0]
+	for i, t := range goal.Terms {
+		if t.Var != "" || t.Wild {
 			continue
 		}
-		dedup[k] = true
-		m := make(map[string]string, len(b))
-		for k, v := range b {
-			m[k] = v
+		id, ok := db.symID[t.Const]
+		if !ok {
+			return nil
 		}
-		out = append(out, m)
+		positions = append(positions, i)
+		db.tupBuf = append(db.tupBuf, id)
+	}
+	var out []map[string]string
+	dedup := map[string]bool{}
+	visit := func(r int) {
+		b, ok := db.bindRow(rel, r, goal.Terms)
+		if !ok {
+			return
+		}
+		k := bindingKey(b)
+		if dedup[k] {
+			return
+		}
+		dedup[k] = true
+		out = append(out, b)
+	}
+	if len(positions) == 0 {
+		db.stats.JoinProbes += int64(rel.rows)
+		for r := 0; r < rel.rows; r++ {
+			visit(r)
+		}
+	} else {
+		ix := rel.intIndexFor(positions)
+		db.keyBuf = ix.extend(rel, db.keyBuf)
+		db.keyBuf = packTuple(db.keyBuf[:0], db.tupBuf)
+		bucket := ix.m[string(db.keyBuf)]
+		db.stats.JoinProbes += int64(len(bucket))
+		for _, r := range bucket {
+			visit(int(r))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return bindingKey(out[i]) < bindingKey(out[j])
 	})
 	return out
+}
+
+// bindRow binds the goal's variables to row r of the relation,
+// reporting false when a repeated variable meets two different values.
+func (db *Database) bindRow(rel *relation, r int, terms []Term) (map[string]string, bool) {
+	b := map[string]string{}
+	for i, t := range terms {
+		if t.Var == "" {
+			continue // constants matched the index key; wildcards match all
+		}
+		v := db.syms[rel.cols[i][r]]
+		if prev, ok := b[t.Var]; ok && prev != v {
+			return nil, false
+		}
+		b[t.Var] = v
+	}
+	return b, true
 }
 
 func bindingKey[M ~map[string]string](m M) string {

@@ -162,11 +162,111 @@ func TestUnboundHeadVariableFails(t *testing.T) {
 
 func TestFactsAreCopied(t *testing.T) {
 	db := NewDatabase()
-	db.Assert(Fact{Pred: "p", Args: []string{"a"}})
+	db.Assert(Fact{Pred: "p", Args: []string{"a", "b"}})
+	db.Assert(Fact{Pred: "p", Args: []string{"c", "d"}})
 	facts := db.Facts("p")
 	facts[0].Pred = "mutated"
-	if db.Facts("p")[0].Pred != "p" {
-		t.Error("Facts exposed internal slice")
+	facts[0].Args[0] = "x"
+	facts[0].Args = append(facts[0].Args, "grown")
+	if got := db.Facts("p"); got[0].Pred != "p" || got[0].Args[0] != "a" || got[1].Args[0] != "c" {
+		t.Errorf("Facts exposed internal storage: %v", got)
+	}
+	if facts[1].Args[0] != "c" {
+		t.Errorf("appending to one fact's Args clobbered the next: %v", facts[1])
+	}
+	// The naive oracle reads the same storage; it must not see the edit.
+	rules, err := ParseRules(`q(X) :- p(X, _).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RunNaive(rules); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range db.Facts("q") {
+		if f.Args[0] == "x" {
+			t.Errorf("RunNaive saw a mutated fact: %v", db.Facts("q"))
+		}
+	}
+}
+
+// TestQueryGoals covers the goal shapes Query handles itself: repeated
+// variables, constants no fact mentions, and wildcard dedup.
+func TestQueryGoals(t *testing.T) {
+	db := NewDatabase()
+	for _, args := range [][]string{{"a", "a"}, {"a", "b"}, {"b", "b"}, {"c", "a"}} {
+		db.Assert(Fact{Pred: "p", Args: args})
+	}
+	for _, tc := range []struct {
+		goal Atom
+		want string
+	}{
+		{Atom{Pred: "p", Terms: []Term{V("X"), V("X")}}, "X=a;|X=b;|"},
+		{Atom{Pred: "p", Terms: []Term{C("a"), V("Y")}}, "Y=a;|Y=b;|"},
+		{Atom{Pred: "p", Terms: []Term{V("X"), W()}}, "X=a;|X=b;|X=c;|"},
+		{Atom{Pred: "p", Terms: []Term{W(), C("a")}}, "|"},
+		{Atom{Pred: "p", Terms: []Term{V("X"), C("nowhere")}}, ""},
+		{Atom{Pred: "p", Terms: []Term{V("X")}}, ""},
+		{Atom{Pred: "absent", Terms: []Term{V("X")}}, ""},
+	} {
+		var got string
+		for _, m := range db.Query(tc.goal) {
+			got += bindingKey(m) + "|"
+		}
+		if got != tc.want {
+			t.Errorf("Query(%s) = %q, want %q", tc.goal, got, tc.want)
+		}
+	}
+	if _, interned := db.symID["nowhere"]; interned {
+		t.Error("Query interned a goal constant")
+	}
+}
+
+// TestQueryJoinProbes pins Query's probe counts: a goal with constants
+// counts its index bucket, a goal without counts every row, a constant
+// no fact mentions counts nothing.
+func TestQueryJoinProbes(t *testing.T) {
+	db := runAncestry(t, ancestryGraph(t, 3, 4), (*Database).Run)
+	for _, tc := range []struct {
+		goal         Atom
+		rows, probes int
+	}{
+		{Atom{Pred: "anc", Terms: []Term{V("X"), V("Y")}}, 30, 30},
+		{Atom{Pred: "anc", Terms: []Term{V("X"), V("X")}}, 0, 30},
+		{Atom{Pred: "anc", Terms: []Term{C("n1"), V("Y")}}, 4, 4},
+		{Atom{Pred: "anc", Terms: []Term{V("X"), C("n5")}}, 4, 4},
+		{Atom{Pred: "edge", Terms: []Term{W(), V("S"), V("T"), C("E")}}, 12, 12},
+		{Atom{Pred: "anc", Terms: []Term{C("nowhere"), V("Y")}}, 0, 0},
+	} {
+		before := db.Stats().JoinProbes
+		rows := len(db.Query(tc.goal))
+		if probes := int(db.Stats().JoinProbes - before); rows != tc.rows || probes != tc.probes {
+			t.Errorf("Query(%s): %d rows, %d probes; want %d rows, %d probes", tc.goal, rows, probes, tc.rows, tc.probes)
+		}
+	}
+}
+
+// TestQueryAfterRunSeesNewRows: an index a Query built must extend to
+// rows a later Run derives.
+func TestQueryAfterRunSeesNewRows(t *testing.T) {
+	db := NewDatabase()
+	db.Assert(Fact{Pred: "b", Args: []string{"a", "b"}})
+	rules, err := ParseRules(`d(X, Y) :- b(X, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := Atom{Pred: "d", Terms: []Term{C("a"), V("Y")}}
+	if err := db.Run(rules); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(db.Query(goal)); n != 1 {
+		t.Fatalf("first query = %d matches, want 1", n)
+	}
+	db.Assert(Fact{Pred: "b", Args: []string{"a", "c"}})
+	if err := db.Run(rules); err != nil {
+		t.Fatal(err)
+	}
+	if res := db.Query(goal); len(res) != 2 || res[1]["Y"] != "c" {
+		t.Errorf("query after re-run = %v, want [{Y:b} {Y:c}]", res)
 	}
 }
 

@@ -24,7 +24,7 @@ func jitteryCamflow() *camflow.Recorder {
 // choice) produces a clean benchmark.
 func TestPairSelectionDefaultSucceeds(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
-	res, err := provmark.NewRunner(jitteryCamflow(), provmark.Config{Trials: 6}).Run(prog)
+	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestPairSelectionDefaultSucceeds(t *testing.T) {
 // class, and the extra structure cancels in the comparison.
 func TestPairSelectionLargestBothSucceeds(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
-	cfg := provmark.Config{Trials: 6, BGPair: provmark.Largest, FGPair: provmark.Largest}
-	res, err := provmark.NewRunner(jitteryCamflow(), cfg).Run(prog)
+	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6),
+		provmark.WithPairExtremes(provmark.Largest, provmark.Largest)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestPairSelectionLargestBothSucceeds(t *testing.T) {
 // background structure is not found in the foreground" (Section 3.4).
 func TestPairSelectionMaxBgMinFgFails(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
-	cfg := provmark.Config{Trials: 6, BGPair: provmark.Largest, FGPair: provmark.Smallest}
-	res, err := provmark.NewRunner(jitteryCamflow(), cfg).Run(prog)
+	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6),
+		provmark.WithPairExtremes(provmark.Largest, provmark.Smallest)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestPairSelectionMaxBgMinFgFails(t *testing.T) {
 // (Section 3.4) — the jitter boot entity shows up in the result.
 func TestPairSelectionMinBgMaxFgLeaksStructure(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
-	cfg := provmark.Config{Trials: 6, BGPair: provmark.Smallest, FGPair: provmark.Largest}
-	res, err := provmark.NewRunner(jitteryCamflow(), cfg).Run(prog)
+	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6),
+		provmark.WithPairExtremes(provmark.Smallest, provmark.Largest)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFilterGraphsDropsCorruptTrials(t *testing.T) {
 	cfg.CorruptPeriod = 2
 	cfg.FilterGraphs = true
 	prog, _ := benchprog.ByName("rename")
-	res, err := provmark.NewRunner(camflow.New(cfg), provmark.Config{Trials: 6}).Run(prog)
+	res, err := provmark.New(camflow.New(cfg), provmark.WithTrials(6)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,8 @@ func TestFilterGraphsDropsCorruptTrials(t *testing.T) {
 
 	// Filtering off: the corrupt class (smaller: it lost a node) wins
 	// smallest-pair selection, demonstrating why filtering exists.
-	off := false
-	res2, err := provmark.NewRunner(camflow.New(cfg), provmark.Config{
-		Trials:       6,
-		FilterGraphs: &off,
-	}).Run(prog)
+	res2, err := provmark.New(camflow.New(cfg), provmark.WithTrials(6),
+		provmark.WithFilterGraphs(false)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestAllTrialsCorruptFails(t *testing.T) {
 	cfg.JitterPeriod = 0
 	cfg.CorruptPeriod = 1 // every trial
 	prog, _ := benchprog.ByName("open")
-	_, err := provmark.NewRunner(camflow.New(cfg), provmark.Config{Trials: 3}).Run(prog)
+	_, err := provmark.New(camflow.New(cfg), provmark.WithTrials(3)).Run(prog)
 	if !errors.Is(err, provmark.ErrInconsistentTrials) {
 		t.Errorf("want ErrInconsistentTrials, got %v", err)
 	}

@@ -16,14 +16,12 @@ import (
 // output). Run with -race to check recorder thread safety.
 func TestParallelRecordingMatchesSequential(t *testing.T) {
 	prog, _ := benchprog.ByName("rename")
-	seq, err := provmark.NewRunner(spade.New(spade.DefaultConfig()), provmark.Config{Trials: 4}).Run(prog)
+	seq, err := provmark.New(spade.New(spade.DefaultConfig()), provmark.WithTrials(4)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := provmark.NewRunner(spade.New(spade.DefaultConfig()), provmark.Config{
-		Trials:   4,
-		Parallel: true,
-	}).Run(prog)
+	par, err := provmark.New(spade.New(spade.DefaultConfig()),
+		provmark.WithTrials(4), provmark.WithParallelism(4)).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +39,7 @@ func TestParallelRecordingMatchesSequential(t *testing.T) {
 func TestParallelAcrossAllTools(t *testing.T) {
 	for tool, rec := range fastRecorders() {
 		prog, _ := benchprog.ByName("open")
-		res, err := provmark.NewRunner(rec, provmark.Config{Parallel: true}).Run(prog)
+		res, err := provmark.New(rec, provmark.WithParallelism(rec.DefaultTrials())).Run(prog)
 		if err != nil {
 			t.Errorf("%s: %v", tool, err)
 			continue

@@ -33,10 +33,8 @@ const (
 	Largest
 )
 
-// Config is the pipeline's internal configuration. Public callers do
-// not build it directly: they pass functional options (WithTrials,
-// WithParallelism, …) to New; the struct remains exported only for
-// the legacy NewRunner constructor kept for internal tests.
+// Config is the pipeline's configuration, built by the functional
+// options (WithTrials, WithParallelism, …) passed to New.
 type Config struct {
 	// Trials per variant; zero selects the recorder's default.
 	Trials int
@@ -46,16 +44,11 @@ type Config struct {
 	// KeepNative retains the native artifacts in the result (used by
 	// examples that want to show raw tool output).
 	KeepNative bool
-	// Parallel records trials concurrently. Each trial runs in its own
+	// Parallelism bounds the number of concurrent recording workers;
+	// values <= 1 record sequentially. Each trial runs in its own
 	// simulated kernel, so trials are independent; recorders must be
 	// safe for concurrent Record calls (the built-in ones are, except
 	// CamFlow under SerializeOnce, which mutates cross-session state).
-	// Legacy flag: when set with Parallelism zero, every trial gets its
-	// own goroutine.
-	Parallel bool
-	// Parallelism bounds the number of concurrent recording workers;
-	// values <= 1 record sequentially (unless the legacy Parallel flag
-	// asks for one goroutine per trial).
 	Parallelism int
 	// Observer, when non-nil, receives a StageEvent as each pipeline
 	// stage completes.
@@ -157,13 +150,6 @@ func NewContext(rec capture.RecorderContext, opts ...Option) *Runner {
 		opt(&cfg)
 	}
 	return &Runner{rec: rec, cfg: cfg, cls: orNewClassifier(cfg.Classifier)}
-}
-
-// NewRunner builds a pipeline runner from a raw Config. Legacy
-// constructor kept for internal tests; new call sites use New with
-// functional options.
-func NewRunner(rec capture.Recorder, cfg Config) *Runner {
-	return &Runner{rec: capture.WithContext(rec), cfg: cfg, cls: orNewClassifier(cfg.Classifier)}
 }
 
 func orNewClassifier(c *Classifier) *Classifier {
@@ -285,9 +271,6 @@ func (r *Runner) generalizeAndCompare(prog benchprog.Program, res *Result, bgGra
 // workers resolves the recording concurrency for a trial count.
 func (r *Runner) workers(trials int) int {
 	w := r.cfg.Parallelism
-	if w <= 0 && r.cfg.Parallel {
-		w = trials // legacy flag: one goroutine per trial
-	}
 	if w < 1 {
 		w = 1
 	}

@@ -34,7 +34,7 @@ func runBenchmark(t *testing.T, tool, benchName string) *provmark.Result {
 	if !ok {
 		t.Fatalf("unknown benchmark %q", benchName)
 	}
-	res, err := provmark.NewRunner(rec, provmark.Config{}).Run(prog)
+	res, err := provmark.New(rec).Run(prog)
 	if err != nil {
 		t.Fatalf("run %s under %s: %v", benchName, tool, err)
 	}
