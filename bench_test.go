@@ -233,9 +233,9 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // BenchmarkSimilarityEngineMatrix measures what the classification
 // engine costs a full matrix run: the (3 tools × 5 timing syscalls)
 // grid with per-run ASP solver invocations and fingerprint
-// computations reported alongside wall-clock time. The Matrix runner
-// injects one shared classifier per run, so within-run fingerprint and
-// verdict reuse shows up directly in these metrics.
+// computations reported alongside wall-clock time. Each cell
+// classifies its own fresh trial graphs, so these counts are the
+// grid's whole classification work.
 func BenchmarkSimilarityEngineMatrix(b *testing.B) {
 	progs := make([]benchprog.Program, 0, len(bench.TimingSyscalls))
 	for _, sc := range bench.TimingSyscalls {

@@ -2,8 +2,8 @@
 // expressiveness matrix over HTTP: clients submit matrix jobs in the
 // versioned wire vocabulary — naming registered benchmarks and/or
 // carrying inline declarative scenarios — stream cells as NDJSON while
-// they complete, and share one deduplicating result store and one
-// similarity-classification engine across all jobs.
+// they complete, and share one deduplicating result store across all
+// jobs.
 //
 // Endpoints:
 //

@@ -28,11 +28,6 @@ type Suite struct {
 	// undistorted by CPU contention; matrix-style validation runs can
 	// raise it.
 	Workers int
-	// classifier is the suite-lifetime similarity classification
-	// engine, shared across every experiment the suite runs so
-	// re-classification of retained graphs answers from its verdict
-	// cache (the cache is size-bounded, so suite lifetime is safe).
-	classifier *provmark.Classifier
 }
 
 // NewSuite builds the baseline suite. fast substitutes cheap storage
@@ -41,9 +36,8 @@ type Suite struct {
 // Figures 5–10.
 func NewSuite(fast bool) *Suite {
 	s := &Suite{
-		recorders:  map[string]capture.Recorder{},
-		Workers:    1,
-		classifier: provmark.NewClassifier(),
+		recorders: map[string]capture.Recorder{},
+		Workers:   1,
 	}
 	opts := capture.Options{Fast: fast}
 	// spn: SPADE with Neo4j storage, the paper CLI's second SPADE
@@ -78,7 +72,7 @@ func (s *Suite) matrix(ctx context.Context, recs []capture.Recorder, progs []ben
 		Recorders:  recs,
 		Benchmarks: progs,
 		Workers:    workers,
-		Pipeline:   append([]provmark.Option{provmark.WithClassifier(s.classifier)}, opts...),
+		Pipeline:   opts,
 	}
 	cells, err := m.Run(ctx)
 	if err != nil {
@@ -115,7 +109,7 @@ func (s *Suite) Run(ctx context.Context, tool, benchName string) (*provmark.Resu
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
 	}
-	return provmark.New(rec, provmark.WithClassifier(s.classifier)).RunContext(ctx, prog)
+	return provmark.New(rec).RunContext(ctx, prog)
 }
 
 // RunProgram benchmarks an arbitrary program (scalability, failure
@@ -125,7 +119,7 @@ func (s *Suite) RunProgram(ctx context.Context, tool string, prog benchprog.Prog
 	if err != nil {
 		return nil, err
 	}
-	return provmark.New(rec, provmark.WithClassifier(s.classifier)).RunContext(ctx, prog)
+	return provmark.New(rec).RunContext(ctx, prog)
 }
 
 // Table2Row is the outcome of one syscall across all tools.

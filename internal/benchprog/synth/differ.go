@@ -72,9 +72,7 @@ type DifferOptions struct {
 }
 
 // Differ runs one scenario through every configured capture tool via
-// the unchanged four-stage pipeline and classifies agreement. All
-// runners share one Classifier so fingerprint work and pairwise
-// verdicts are reused across scenarios of a campaign.
+// the unchanged four-stage pipeline and classifies agreement.
 type Differ struct {
 	tools   []string
 	runners []*provmark.Runner
@@ -90,15 +88,13 @@ func NewDiffer(opts DifferOptions) (*Differ, error) {
 	if trials <= 0 {
 		trials = 2
 	}
-	cls := provmark.NewClassifier()
 	d := &Differ{tools: append([]string(nil), tools...)}
 	for _, tool := range tools {
 		rec, err := capture.OpenContext(tool, capture.Options{Fast: opts.Fast})
 		if err != nil {
 			return nil, fmt.Errorf("synth: differ: %w", err)
 		}
-		d.runners = append(d.runners, provmark.NewContext(rec,
-			provmark.WithTrials(trials), provmark.WithClassifier(cls)))
+		d.runners = append(d.runners, provmark.NewContext(rec, provmark.WithTrials(trials)))
 	}
 	return d, nil
 }

@@ -3,9 +3,8 @@
 // (wire.JobSpec), expands them into (tool, benchmark) cells, runs the
 // cells on one bounded worker pool shared by every job, and
 // deduplicates identical cells through a size-bounded result store.
-// All jobs share one similarity-classification engine, so pairwise
-// verdict caches survive across jobs exactly as they survive across
-// the cells of one matrix run.
+// All jobs report to one similarity-classification engine, whose
+// counters Classifier exposes; classification itself keeps no state.
 //
 // The package is the server half of provmarkd; the HTTP surface lives
 // in server.go and the client vocabulary in internal/wire.
@@ -42,9 +41,6 @@ type Config struct {
 	// StoreSize bounds the shared dedup store; values < 1 use
 	// DefaultStoreSize.
 	StoreSize int
-	// Classifier optionally injects a similarity engine; nil builds a
-	// fresh one. Every job's every cell shares it.
-	Classifier *provmark.Classifier
 	// MaxJobs bounds how many jobs the manager retains; values < 1 use
 	// DefaultMaxJobs. When a new submission exceeds the bound, the
 	// oldest FINISHED jobs (and their per-cell result payloads) are
@@ -90,10 +86,6 @@ func NewManager(cfg Config) *Manager {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cls := cfg.Classifier
-	if cls == nil {
-		cls = provmark.NewClassifier()
-	}
 	//provmark:allow ctx-background -- the manager is the process-lifetime root; there is no caller context
 	ctx, cancel := context.WithCancel(context.Background())
 	maxJobs := cfg.MaxJobs
@@ -102,7 +94,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:        cfg,
-		cls:        cls,
+		cls:        provmark.NewClassifier(),
 		store:      NewStore(cfg.StoreSize),
 		tasks:      make(chan task),
 		baseCtx:    ctx,
@@ -120,7 +112,8 @@ func NewManager(cfg Config) *Manager {
 // Store exposes the shared dedup store (read-mostly: stats, peeks).
 func (m *Manager) Store() *Store { return m.store }
 
-// Classifier exposes the shared similarity engine.
+// Classifier exposes the similarity engine every cell reports its
+// classification counters to.
 func (m *Manager) Classifier() *provmark.Classifier { return m.cls }
 
 // Job looks a live job up by id.

@@ -2,7 +2,7 @@ package provmark
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"provmark/internal/graph"
 	"provmark/internal/match"
@@ -14,30 +14,17 @@ import (
 // trials into buckets by their memoized shape fingerprint and runs the
 // confirming matcher only on within-bucket collisions (fingerprint
 // equality is a necessary condition for similarity, never a
-// certificate). Confirmed verdicts land in a pairwise cache keyed by
-// graph identity, so a classifier that sees the same trial graphs
-// again — regression flows re-checking a stored corpus, repeated
-// experiments over one recording — answers from cache instead of
-// re-confirming. Fresh recordings produce fresh graphs and always
-// confirm anew; the cache is size-bounded so a long-lived classifier
-// (the bench suite holds one for its lifetime) cannot grow without
-// limit.
+// certificate).
 //
-// A Classifier is safe for concurrent use; buckets of one Classes call
-// are themselves classified over a bounded worker pool.
+// Classification keeps no state between calls: the generalization
+// stage hands every call freshly recorded trial graphs, so there is
+// nothing to reuse, and holding on to them would only keep them
+// reachable. A Classifier carries instrumentation counters alone and
+// is safe for concurrent use.
 type Classifier struct {
-	mu       sync.Mutex
-	verdicts map[graphPair]bool
-	stats    ClassifierStats
+	graphs   atomic.Uint64
+	confirms atomic.Uint64
 }
-
-// maxVerdictEntries bounds the verdict cache. Identity-keyed entries
-// are only useful while their graphs are re-classified, so once the
-// cache fills — after many runs over fresh recordings — it is simply
-// reset rather than evicted entry-by-entry.
-const maxVerdictEntries = 1 << 16
-
-type graphPair struct{ a, b *graph.Graph }
 
 // ClassifierStats counts the engine's work for instrumentation.
 type ClassifierStats struct {
@@ -45,33 +32,30 @@ type ClassifierStats struct {
 	Graphs uint64
 	// Confirms is how many matcher confirmations actually ran.
 	Confirms uint64
-	// CacheHits is how many pairwise verdicts were served from cache.
+	// CacheHits is always 0: the engine caches no verdicts. The field
+	// is kept for existing readers of the counters.
 	CacheHits uint64
 }
 
-// NewClassifier returns an empty classification engine.
+// NewClassifier returns a classification engine with zeroed counters.
 func NewClassifier() *Classifier {
-	return &Classifier{verdicts: make(map[graphPair]bool)}
+	return &Classifier{}
 }
 
 // Stats snapshots the engine's instrumentation counters.
 func (c *Classifier) Stats() ClassifierStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return ClassifierStats{Graphs: c.graphs.Load(), Confirms: c.confirms.Load()}
 }
 
 // Classes partitions trials into similarity classes and returns the
 // member indices of each class, classes ordered by first member and
 // members ascending — the same deterministic shape the linear-scan
-// implementation produced. parallelism bounds the worker pool used to
-// classify fingerprint buckets concurrently; values <= 1 run
-// sequentially.
-func (c *Classifier) Classes(trials []*graph.Graph, parallelism int) [][]int {
+// implementation produced.
+func (c *Classifier) Classes(trials []*graph.Graph) [][]int {
 	// Bucket by fingerprint. Fingerprints are memoized on the graphs,
 	// so this pass computes each trial's canonical refinement at most
 	// once — and warms the WL-colour cache the confirming matchers
-	// read, making the parallel phase below read-only on the graphs.
+	// read.
 	var order []string
 	buckets := make(map[string][]int, len(trials))
 	for i, g := range trials {
@@ -81,96 +65,29 @@ func (c *Classifier) Classes(trials []*graph.Graph, parallelism int) [][]int {
 		}
 		buckets[fp] = append(buckets[fp], i)
 	}
-	c.mu.Lock()
-	c.stats.Graphs += uint64(len(trials))
-	c.mu.Unlock()
+	c.graphs.Add(uint64(len(trials)))
 
 	// Classify each bucket independently: a linear scan against class
-	// representatives, confirming with the cached pairwise matcher.
-	perBucket := make([][][]int, len(order))
-	classifyBucket := func(bi int) {
-		members := buckets[order[bi]]
-		var classes [][]int
-		for _, i := range members {
+	// representatives, confirming with the pairwise matcher.
+	var classes [][]int
+	for _, fp := range order {
+		var bucket [][]int
+		for _, i := range buckets[fp] {
 			placed := false
-			for ci, cl := range classes {
-				if c.similar(trials[cl[0]], trials[i]) {
-					classes[ci] = append(classes[ci], i)
+			for ci, cl := range bucket {
+				c.confirms.Add(1)
+				if _, ok := match.Similar(trials[cl[0]], trials[i]); ok {
+					bucket[ci] = append(bucket[ci], i)
 					placed = true
 					break
 				}
 			}
 			if !placed {
-				classes = append(classes, []int{i})
+				bucket = append(bucket, []int{i})
 			}
 		}
-		perBucket[bi] = classes
-	}
-
-	if workers := boundWorkers(parallelism, len(order)); workers > 1 {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for bi := range next {
-					classifyBucket(bi)
-				}
-			}()
-		}
-		for bi := range order {
-			next <- bi
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for bi := range order {
-			classifyBucket(bi)
-		}
-	}
-
-	var classes [][]int
-	for _, bc := range perBucket {
-		classes = append(classes, bc...)
+		classes = append(classes, bucket...)
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
 	return classes
-}
-
-// boundWorkers clamps a parallelism setting to the available work.
-func boundWorkers(parallelism, tasks int) int {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	if parallelism > tasks {
-		parallelism = tasks
-	}
-	return parallelism
-}
-
-// similar answers one pairwise similarity query through the verdict
-// cache, confirming cache misses with match.Similar. Concurrent misses
-// on the same pair may both confirm; they reach the same verdict, so
-// the race is benign.
-func (c *Classifier) similar(a, b *graph.Graph) bool {
-	c.mu.Lock()
-	if v, hit := c.verdicts[graphPair{a, b}]; hit {
-		c.stats.CacheHits++
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-
-	_, ok := match.Similar(a, b)
-
-	c.mu.Lock()
-	if len(c.verdicts) >= maxVerdictEntries {
-		c.verdicts = make(map[graphPair]bool)
-	}
-	c.verdicts[graphPair{a, b}] = ok
-	c.verdicts[graphPair{b, a}] = ok
-	c.stats.Confirms++
-	c.mu.Unlock()
-	return ok
 }

@@ -103,19 +103,3 @@ func BenchmarkSimilarityClasses(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkClassifierSharedAcrossRuns measures the verdict cache: one
-// engine classifying the same corpus repeatedly (the Matrix-run sharing
-// pattern) against a fresh engine per call.
-func BenchmarkClassifierSharedAcrossRuns(b *testing.B) {
-	corpus := symCorpus(b, 32, 4, 5)
-	b.Run("shared", func(b *testing.B) {
-		c := provmark.NewClassifier()
-		benchClassify(b, corpus, func(trials []*graph.Graph) [][]int {
-			return c.Classes(trials, 1)
-		})
-	})
-	b.Run("fresh", func(b *testing.B) {
-		benchClassify(b, corpus, provmark.SimilarityClasses)
-	})
-}

@@ -15,8 +15,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"provmark/internal/asp"
 	"provmark/internal/benchprog"
@@ -357,25 +360,15 @@ func TestTrialGraphsFingerprintedOncePerRun(t *testing.T) {
 	}
 }
 
-// TestClassifierParallelMatchesSequential: classifying buckets over a
-// worker pool must produce the identical deterministic partition.
-func TestClassifierParallelMatchesSequential(t *testing.T) {
-	trials := classCorpus(t, 29)
-	seq := provmark.NewClassifier().Classes(trials, 1)
-	par := provmark.NewClassifier().Classes(trials, 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel classification diverged:\nseq: %v\npar: %v", seq, par)
-	}
-}
-
-// TestClassifierVerdictCache: re-classifying the same graphs through
-// one engine serves every pairwise verdict from cache.
-func TestClassifierVerdictCache(t *testing.T) {
+// TestClassifierIsStateless: classifying the same graphs twice through
+// one engine yields the same partition and repeats every confirmation —
+// nothing from the first call is reused by the second.
+func TestClassifierIsStateless(t *testing.T) {
 	trials := classCorpus(t, 31)
 	c := provmark.NewClassifier()
-	first := c.Classes(trials, 1)
+	first := c.Classes(trials)
 	s1 := c.Stats()
-	second := c.Classes(trials, 1)
+	second := c.Classes(trials)
 	s2 := c.Stats()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("re-classification changed the partition")
@@ -383,12 +376,43 @@ func TestClassifierVerdictCache(t *testing.T) {
 	if s1.Confirms == 0 {
 		t.Fatal("first classification confirmed nothing; corpus degenerate?")
 	}
-	if s2.Confirms != s1.Confirms {
-		t.Errorf("re-classification re-confirmed pairs: %d -> %d confirms", s1.Confirms, s2.Confirms)
+	if d2 := s2.Confirms - s1.Confirms; d2 != s1.Confirms {
+		t.Errorf("second classification ran %d confirms, first ran %d", d2, s1.Confirms)
 	}
-	if s2.CacheHits <= s1.CacheHits {
-		t.Errorf("re-classification did not hit the verdict cache (hits %d -> %d)", s1.CacheHits, s2.CacheHits)
+	if s2.Graphs != 2*uint64(len(trials)) {
+		t.Errorf("Graphs = %d after two calls over %d trials", s2.Graphs, len(trials))
 	}
+}
+
+// TestClassifierRetainsNoGraphs: a live engine must not keep the trial
+// graphs it classified reachable, so a long-lived engine (the job
+// manager holds one for the process lifetime) costs no memory per
+// classified graph.
+func TestClassifierRetainsNoGraphs(t *testing.T) {
+	c := provmark.NewClassifier()
+	var finalized atomic.Int64
+	n := classifyFinalizable(t, c, &finalized)
+	for i := 0; i < 100 && finalized.Load() < int64(n); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := finalized.Load(); got != int64(n) {
+		t.Errorf("%d of %d classified trial graphs still reachable", int64(n)-got, n)
+	}
+	runtime.KeepAlive(c)
+}
+
+// classifyFinalizable classifies a corpus whose graphs count their own
+// finalization, and drops every reference to them on return.
+func classifyFinalizable(t *testing.T, c *provmark.Classifier, finalized *atomic.Int64) int {
+	trials := classCorpus(t, 31)
+	for _, g := range trials {
+		runtime.SetFinalizer(g, func(*graph.Graph) { finalized.Add(1) })
+	}
+	if classes := c.Classes(trials); len(classes) == len(trials) {
+		t.Fatal("classification merged nothing; corpus degenerate?")
+	}
+	return len(trials)
 }
 
 // TestClassifierSymmetricFallsBackToSolver: on graphs whose WL

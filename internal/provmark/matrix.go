@@ -118,13 +118,6 @@ func (m Matrix) Stream(ctx context.Context) (<-chan MatrixResult, error) {
 		workers = total
 	}
 
-	// Every cell of the run shares one classification engine; callers
-	// that re-run a matrix over retained graphs reuse its verdicts. A
-	// WithClassifier in m.Pipeline (applied later) wins.
-	pipeline := make([]Option, 0, len(m.Pipeline)+1)
-	pipeline = append(pipeline, WithClassifier(NewClassifier()))
-	pipeline = append(pipeline, m.Pipeline...)
-
 	out := make(chan MatrixResult)
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -135,7 +128,7 @@ func (m Matrix) Stream(ctx context.Context) (<-chan MatrixResult, error) {
 			for i := range next {
 				rec := recs[i/len(progs)]
 				prog := progs[i%len(progs)]
-				res, err := NewContext(rec, pipeline...).RunContext(ctx, prog)
+				res, err := NewContext(rec, m.Pipeline...).RunContext(ctx, prog)
 				cell := MatrixResult{
 					Index:     i,
 					Tool:      rec.Name(),

@@ -87,23 +87,16 @@ func WithFilterGraphs(filter bool) Option {
 	return func(c *Config) { c.FilterGraphs = &filter }
 }
 
-// WithKeepNative retains the foreground trial-1 native artifact in the
-// result, for callers that want to show raw tool output.
-func WithKeepNative(keep bool) Option {
-	return func(c *Config) { c.KeepNative = keep }
-}
-
 // WithPairExtremes chooses the trial-pair size preference per variant
 // (Section 3.4); zero values mean Smallest.
 func WithPairExtremes(bg, fg Extreme) Option {
 	return func(c *Config) { c.BGPair, c.FGPair = bg, fg }
 }
 
-// WithClassifier installs a shared similarity classification engine.
-// Runners created with the same engine reuse fingerprint work and
-// pairwise similarity verdicts; the Matrix runner injects one engine
-// across all cells of a run. A nil engine is ignored (each runner then
-// gets a private one).
+// WithClassifier installs a similarity classification engine, so a
+// caller can read its counters. Runners created with the same engine
+// pool their counts; classification itself shares nothing. A nil
+// engine is ignored (each runner then gets a private one).
 func WithClassifier(c *Classifier) Option {
 	return func(cfg *Config) {
 		if c != nil {

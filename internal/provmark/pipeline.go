@@ -41,9 +41,6 @@ type Config struct {
 	// FilterGraphs overrides the recorder's default graph-filtering
 	// behaviour when non-nil.
 	FilterGraphs *bool
-	// KeepNative retains the native artifacts in the result (used by
-	// examples that want to show raw tool output).
-	KeepNative bool
 	// Parallelism bounds the number of concurrent recording workers;
 	// values <= 1 record sequentially. Each trial runs in its own
 	// simulated kernel, so trials are independent; recorders must be
@@ -61,9 +58,9 @@ type Config struct {
 	// ablation benchmarks.
 	BGPair, FGPair Extreme
 	// Classifier is the similarity classification engine used by the
-	// generalization stage. Nil gets a private engine per runner; the
-	// Matrix runner injects one shared engine so pairwise verdicts and
-	// fingerprint work are reused across cells.
+	// generalization stage. Nil gets a private engine per runner.
+	// Classification is stateless, so sharing one engine across runners
+	// only pools its instrumentation counters.
 	Classifier *Classifier
 }
 
@@ -118,9 +115,6 @@ type Result struct {
 	// Cost is the property-mismatch cost of the bg->fg embedding.
 	Cost  int
 	Times StageTimes
-	// FGNative holds the foreground trial-1 native artifact when
-	// Config.KeepNative is set.
-	FGNative capture.Native
 }
 
 // ErrInconsistentTrials is returned when no two trial graphs of some
@@ -212,9 +206,6 @@ func (r *Runner) RunContext(ctx context.Context, prog benchprog.Program) (*Resul
 		if err == nil {
 			res.Times.Recording = time.Since(start)
 			r.observe(prog, StageRecording, res.Times.Recording, nil)
-			if r.cfg.KeepNative && len(fgNative) > 0 {
-				res.FGNative = fgNative[0]
-			}
 			return r.finish(ctx, prog, res, bgNative, fgNative)
 		}
 	}
@@ -389,14 +380,13 @@ func (r *Runner) generalize(prog benchprog.Program, trials []*graph.Graph, extre
 	return gen, nil
 }
 
-// selectPair classifies the trials through the runner's engine —
-// fanning fingerprint buckets out over the WithParallelism worker
-// bound — reports the classification sub-step to the observer, and
+// selectPair classifies the trials through the runner's engine,
+// reports the classification sub-step to the observer, and
 // accumulates its duration into the result's StageTimes (both
 // variants' classifications sum into one Classification figure).
 func (r *Runner) selectPair(prog benchprog.Program, trials []*graph.Graph, extreme Extreme, times *StageTimes) (*graph.Graph, *graph.Graph, error) {
 	start := time.Now()
-	classes := r.cls.Classes(trials, r.cfg.Parallelism)
+	classes := r.cls.Classes(trials)
 	d := time.Since(start)
 	if times != nil {
 		times.Classification += d
@@ -443,10 +433,9 @@ func pairFromClasses(trials []*graph.Graph, classes [][]int, extreme Extreme) (*
 
 // SimilarityClasses groups trial indices by graph similarity: classes
 // ordered by first member, members ascending. It routes through a
-// throwaway classification engine; pipeline runs use the runner's
-// persistent engine so verdicts are cached across stages and cells.
+// throwaway classification engine.
 func SimilarityClasses(trials []*graph.Graph) [][]int {
-	return NewClassifier().Classes(trials, 1)
+	return NewClassifier().Classes(trials)
 }
 
 // compare performs stage 4 on a result whose FG/BG are set.

@@ -9,8 +9,7 @@ import (
 
 // ToWire converts a pipeline result to its versioned wire form — the
 // serialization boundary shared by provmarkd, the report renderers and
-// the JSON result type. The FGNative artifact (Config.KeepNative) is a
-// local-process convenience and is not part of the wire schema.
+// the JSON result type.
 func ToWire(res *Result) *wire.Result {
 	if res == nil {
 		return nil
