@@ -6,8 +6,8 @@
 //
 //   - cardinality-1 choice rules  {h(X,Y) : ...} = 1 :- item(X)
 //     become selection groups: exactly one atom per group is true;
-//   - integrity constraints between two atoms (the injectivity rules
-//     :- X<>Y, h(X,Z), h(Y,Z)) become conflict pairs;
+//   - the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) become at-most-one
+//     sets, one per target element Z (AddConflict is the two-atom case);
 //   - constraints of the form :- h(E1,E2), not h(X,Y) (edge endpoint
 //     preservation) become implications h(E1,E2) -> h(X,Y);
 //   - #minimize { PC,X,K : cost(X,K,PC) } becomes per-atom integer
@@ -17,16 +17,28 @@
 // whose labels disagree are simply never generated, exactly as a
 // grounder would delete rules with unsatisfiable bodies.
 //
-// The solver is a depth-first search with unit propagation over groups
-// (minimum-remaining-values ordering) and branch-and-bound pruning on
-// the weight objective. It is deterministic: given the same problem it
-// explores candidates in construction order.
+// The solver is a depth-first search with unit propagation and
+// branch-and-bound pruning on the weight objective. It branches on the
+// open group with the fewest alive candidates (the lowest index on
+// ties) and, under SolveMin, tries them cheapest first. Selecting an
+// atom kills the other candidates of its group and the other members of
+// its at-most-one sets, then selects the atoms it implies, recursively;
+// the selection fails when it contradicts an earlier one or leaves some
+// group without a candidate. Every kill and selection goes on a trail
+// that backtracking unwinds. The search keeps each group's count of
+// alive candidates, the number of groups left with none, and under
+// SolveMin each open group's cheapest alive candidate, updating them as
+// atoms die and revive; so picking a group, detecting a wiped-out group
+// and computing the bound never rescan the atoms. The search is
+// deterministic: given the same problem it makes the same choices in
+// the same order.
 package asp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -45,9 +57,9 @@ type Atom struct {
 // Problem is a ground matching program.
 type Problem struct {
 	atoms     []Atom
-	groups    [][]AtomID // exactly one atom per group must hold
-	conflicts [][]AtomID // conflicts[a] = atoms that cannot hold with a
-	implies   [][]AtomID // implies[a] = atoms forced when a holds
+	groups    [][]AtomID  // exactly one atom per group must hold
+	sets      [][]AtomID  // at most one atom per set may hold
+	implies   [][2]AtomID // {a, b}: selecting a forces selecting b
 	groupName []string
 }
 
@@ -69,20 +81,27 @@ func (p *Problem) AddAtom(group int, x, y string, weight int) AtomID {
 	id := AtomID(len(p.atoms))
 	p.atoms = append(p.atoms, Atom{X: x, Y: y, Group: group, Weight: weight})
 	p.groups[group] = append(p.groups[group], id)
-	p.conflicts = append(p.conflicts, nil)
-	p.implies = append(p.implies, nil)
 	return id
+}
+
+// AddAtMostOne forbids any two of the given distinct atoms from holding
+// together: the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) ground to one
+// such set per target element Z. The problem keeps the slice, so the
+// caller must not modify it afterwards.
+func (p *Problem) AddAtMostOne(atoms []AtomID) {
+	if len(atoms) > 1 {
+		p.sets = append(p.sets, atoms)
+	}
 }
 
 // AddConflict forbids a and b from holding together.
 func (p *Problem) AddConflict(a, b AtomID) {
-	p.conflicts[a] = append(p.conflicts[a], b)
-	p.conflicts[b] = append(p.conflicts[b], a)
+	p.AddAtMostOne([]AtomID{a, b})
 }
 
 // AddImplication records that selecting a forces selecting b.
 func (p *Problem) AddImplication(a, b AtomID) {
-	p.implies[a] = append(p.implies[a], b)
+	p.implies = append(p.implies, [2]AtomID{a, b})
 }
 
 // Atom returns the atom with the given id.
@@ -129,23 +148,10 @@ func (p *Problem) SolveMin() (*Solution, error) {
 // or after limit models (limit <= 0 means unbounded). It returns the
 // number of models visited.
 func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
-	s := &state{
-		p:        p,
-		alive:    make([]bool, len(p.atoms)),
-		chosen:   make([]AtomID, len(p.groups)),
-		bestCost: int(^uint(0) >> 1),
+	if p.emptyGroup() >= 0 {
+		return 0
 	}
-	for i := range s.alive {
-		s.alive[i] = true
-	}
-	for i := range s.chosen {
-		s.chosen[i] = -1
-	}
-	for _, g := range p.groups {
-		if len(g) == 0 {
-			return 0
-		}
-	}
+	s := p.newState(false)
 	count := 0
 	stopped := false
 	var enumerate func()
@@ -162,12 +168,8 @@ func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
 			}
 			return
 		}
-		var cands []AtomID
-		for _, a := range s.p.groups[gi] {
-			if s.alive[a] {
-				cands = append(cands, a)
-			}
-		}
+		cands := s.pushCandidates(gi)
+		defer s.popCandidates(cands)
 		for _, a := range cands {
 			if stopped {
 				return
@@ -185,43 +187,126 @@ func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
 	return count
 }
 
-// state carries the mutable search data. Candidate sets are represented
-// as per-group slices of still-alive atom ids; removals are trailed for
-// backtracking.
+// state carries the mutable search data. Every atom removal and
+// selection is trailed for backtracking, and the per-group counts
+// derived from them are updated as atoms die and revive, so no search
+// step rescans the atoms.
 type state struct {
-	p         *Problem
-	alive     []bool   // per atom
-	chosen    []AtomID // per group, -1 if open
-	nChosen   int
-	cost      int
-	trail     []AtomID // atoms killed, for undo
-	trailMark []int
+	p       *Problem
+	sets    byAtom   // at-most-one sets containing each atom
+	implies byAtom   // atoms each atom's selection forces
+	alive   []bool   // per atom
+	chosen  []AtomID // per group, -1 if open
+	nAlive  []int    // per group: alive candidates
+	empty   int      // groups with no alive candidate
+	cost    int
+	trail   []AtomID // killed atoms, and ^a for each selection of a
+	// Under SolveMin only: byWeight[g] lists g's atoms stably sorted by
+	// weight. While g is open, byWeight[g][head[g]] is its first alive
+	// atom there, whose weight is g's least alive weight. headTrail
+	// holds the heads it replaced, for undo.
+	byWeight  [][]AtomID
+	head      []int
+	headTrail []headUndo
+	marks     []mark
+	stack     []AtomID // candidate lists of the open search levels
 	best      *Solution
 	bestCost  int
 	optimize  bool
-	minWeight []int // per group: min weight among alive atoms (recomputed lazily)
 }
 
-func (p *Problem) solve(optimize bool) (*Solution, error) {
-	solveInvocations.Add(1)
+type headUndo struct{ group, head int }
+
+// mark records the trail lengths at a choice point.
+type mark struct{ trail, headTrail int }
+
+// byAtom lists values per atom, in insertion order: atom a's values are
+// vals[start[a]:start[a+1]].
+type byAtom struct {
+	start []int32
+	vals  []int32
+}
+
+// indexByAtom builds a byAtom over n atoms from the pairs each emits;
+// each is called twice and must emit the same pairs both times.
+func indexByAtom(n int, each func(emit func(a AtomID, v int32))) byAtom {
+	x := byAtom{start: make([]int32, n+1)}
+	each(func(a AtomID, _ int32) { x.start[a+1]++ })
+	for a := 0; a < n; a++ {
+		x.start[a+1] += x.start[a]
+	}
+	x.vals = make([]int32, x.start[n])
+	next := append([]int32(nil), x.start[:n]...)
+	each(func(a AtomID, v int32) {
+		x.vals[next[a]] = v
+		next[a]++
+	})
+	return x
+}
+
+func (x byAtom) of(a AtomID) []int32 { return x.vals[x.start[a]:x.start[a+1]] }
+
+// emptyGroup returns the first group with no candidates, or -1.
+func (p *Problem) emptyGroup() int {
+	for gi, g := range p.groups {
+		if len(g) == 0 {
+			return gi
+		}
+	}
+	return -1
+}
+
+// newState builds the search state with every atom alive.
+func (p *Problem) newState(optimize bool) *state {
 	s := &state{
 		p:        p,
 		alive:    make([]bool, len(p.atoms)),
 		chosen:   make([]AtomID, len(p.groups)),
+		nAlive:   make([]int, len(p.groups)),
 		optimize: optimize,
 		bestCost: int(^uint(0) >> 1),
 	}
+	s.sets = indexByAtom(len(p.atoms), func(emit func(AtomID, int32)) {
+		for si, set := range p.sets {
+			for _, a := range set {
+				emit(a, int32(si))
+			}
+		}
+	})
+	s.implies = indexByAtom(len(p.atoms), func(emit func(AtomID, int32)) {
+		for _, imp := range p.implies {
+			emit(imp[0], int32(imp[1]))
+		}
+	})
 	for i := range s.alive {
 		s.alive[i] = true
 	}
-	for i := range s.chosen {
-		s.chosen[i] = -1
-	}
 	for gi, g := range p.groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("%w: group %s has no candidates", ErrUnsat, p.groupName[gi])
+		s.chosen[gi] = -1
+		s.nAlive[gi] = len(g)
+	}
+	if optimize {
+		s.byWeight = make([][]AtomID, len(p.groups))
+		s.head = make([]int, len(p.groups))
+		flat := make([]AtomID, 0, len(p.atoms))
+		for gi, g := range p.groups {
+			start := len(flat)
+			flat = append(flat, g...)
+			s.byWeight[gi] = flat[start:]
+			slices.SortStableFunc(s.byWeight[gi], func(a, b AtomID) int {
+				return cmp.Compare(p.atoms[a].Weight, p.atoms[b].Weight)
+			})
 		}
 	}
+	return s
+}
+
+func (p *Problem) solve(optimize bool) (*Solution, error) {
+	solveInvocations.Add(1)
+	if gi := p.emptyGroup(); gi >= 0 {
+		return nil, fmt.Errorf("%w: group %s has no candidates", ErrUnsat, p.groupName[gi])
+	}
+	s := p.newState(optimize)
 	s.search()
 	if s.best == nil {
 		return nil, ErrUnsat
@@ -233,36 +318,24 @@ func (p *Problem) solve(optimize bool) (*Solution, error) {
 // candidates. This is an admissible bound for branch-and-bound.
 func (s *state) lowerBound() int {
 	lb := s.cost
-	for gi, g := range s.p.groups {
-		if s.chosen[gi] >= 0 {
-			continue
+	for gi, c := range s.chosen {
+		if c < 0 {
+			lb += s.p.atoms[s.byWeight[gi][s.head[gi]]].Weight
 		}
-		minW := int(^uint(0) >> 1)
-		for _, a := range g {
-			if s.alive[a] && s.p.atoms[a].Weight < minW {
-				minW = s.p.atoms[a].Weight
-			}
-		}
-		lb += minW
 	}
 	return lb
 }
 
 // pickGroup returns the open group with the fewest alive candidates
-// (minimum remaining values), or -1 if all groups are decided.
+// (minimum remaining values, lowest index on ties), or -1 if all
+// groups are decided.
 func (s *state) pickGroup() int {
 	best, bestN := -1, int(^uint(0)>>1)
-	for gi, g := range s.p.groups {
-		if s.chosen[gi] >= 0 {
+	for gi, c := range s.chosen {
+		if c >= 0 {
 			continue
 		}
-		n := 0
-		for _, a := range g {
-			if s.alive[a] {
-				n++
-			}
-		}
-		if n < bestN {
+		if n := s.nAlive[gi]; n < bestN {
 			best, bestN = gi, n
 			if n <= 1 {
 				break
@@ -270,6 +343,28 @@ func (s *state) pickGroup() int {
 		}
 	}
 	return best
+}
+
+// pushCandidates copies group gi's alive atoms onto the candidate stack
+// and returns them: in construction order, or under SolveMin stably
+// sorted by weight. The copy is needed because selections mutate alive
+// while the caller iterates; the caller pops it with popCandidates.
+func (s *state) pushCandidates(gi int) []AtomID {
+	base := len(s.stack)
+	order := s.p.groups[gi]
+	if s.optimize {
+		order = s.byWeight[gi][s.head[gi]:]
+	}
+	for _, a := range order {
+		if s.alive[a] {
+			s.stack = append(s.stack, a)
+		}
+	}
+	return s.stack[base:]
+}
+
+func (s *state) popCandidates(cands []AtomID) {
+	s.stack = s.stack[:len(s.stack)-len(cands)]
 }
 
 func (s *state) search() {
@@ -283,18 +378,8 @@ func (s *state) search() {
 		s.bestCost = s.cost
 		return
 	}
-	// Copy the alive candidates for this group: selections mutate alive.
-	var cands []AtomID
-	for _, a := range s.p.groups[gi] {
-		if s.alive[a] {
-			cands = append(cands, a)
-		}
-	}
-	if s.optimize {
-		sort.SliceStable(cands, func(i, j int) bool {
-			return s.p.atoms[cands[i]].Weight < s.p.atoms[cands[j]].Weight
-		})
-	}
+	cands := s.pushCandidates(gi)
+	defer s.popCandidates(cands)
 	for _, a := range cands {
 		if !s.alive[a] {
 			continue
@@ -310,12 +395,13 @@ func (s *state) search() {
 	}
 }
 
-// choose selects atom a and propagates: kill conflicting atoms, kill the
-// group's other candidates, and force implications (recursively). It
-// returns false if propagation wipes out some group or contradicts an
-// earlier choice; the caller must still undo.
+// choose selects atom a and propagates: kill the group's other
+// candidates, kill every atom sharing an at-most-one set with a, and
+// force implications (recursively). It returns false if propagation
+// wipes out some group or contradicts an earlier choice; the caller
+// must still undo.
 func (s *state) choose(a AtomID) bool {
-	s.trailMark = append(s.trailMark, len(s.trail))
+	s.marks = append(s.marks, mark{len(s.trail), len(s.headTrail)})
 	return s.propagate(a)
 }
 
@@ -328,76 +414,88 @@ func (s *state) propagate(a AtomID) bool {
 		return false
 	}
 	s.chosen[at.Group] = a
-	s.nChosen++
 	s.cost += at.Weight
-	s.trail = append(s.trail, -a-1000000) // selection marker, see undo
+	s.trail = append(s.trail, ^a)
 	for _, other := range s.p.groups[at.Group] {
 		if other != a && s.alive[other] {
 			s.kill(other)
 		}
 	}
-	for _, c := range s.p.conflicts[a] {
-		if s.alive[c] {
-			ca := s.p.atoms[c]
-			if s.chosen[ca.Group] == c {
-				return false // conflict with an earlier selection
+	for _, si := range s.sets.of(a) {
+		for _, b := range s.p.sets[si] {
+			if b == a {
+				continue
 			}
-			s.kill(c)
-		} else if s.chosen[s.p.atoms[c].Group] == c {
-			return false
+			if s.chosen[s.p.atoms[b].Group] == b {
+				return false // at most one of the set may hold
+			}
+			if s.alive[b] {
+				s.kill(b)
+			}
 		}
 	}
-	for _, imp := range s.p.implies[a] {
-		ia := s.p.atoms[imp]
-		if s.chosen[ia.Group] == imp {
+	for _, v := range s.implies.of(a) {
+		imp := AtomID(v)
+		ig := s.p.atoms[imp].Group
+		if s.chosen[ig] == imp {
 			continue
 		}
-		if !s.alive[imp] || s.chosen[ia.Group] >= 0 {
+		if !s.alive[imp] || s.chosen[ig] >= 0 {
 			return false
 		}
 		if !s.propagate(imp) {
 			return false
 		}
 	}
-	// Fail fast if any open group lost all candidates.
-	for gi, g := range s.p.groups {
-		if s.chosen[gi] >= 0 {
-			continue
-		}
-		any := false
-		for _, x := range g {
-			if s.alive[x] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
-	}
-	return true
+	// Fail fast if any open group lost all candidates. A chosen group
+	// keeps its selected atom alive, so every empty group is open.
+	return s.empty == 0
 }
 
 func (s *state) kill(a AtomID) {
 	s.alive[a] = false
 	s.trail = append(s.trail, a)
+	g := s.p.atoms[a].Group
+	s.nAlive[g]--
+	if s.nAlive[g] == 0 {
+		s.empty++
+		return
+	}
+	// Under SolveMin, move an open group's head past the atom, which
+	// carried the group's least alive weight.
+	if s.optimize && s.chosen[g] < 0 && s.byWeight[g][s.head[g]] == a {
+		s.headTrail = append(s.headTrail, headUndo{g, s.head[g]})
+		h := s.head[g] + 1
+		for !s.alive[s.byWeight[g][h]] {
+			h++
+		}
+		s.head[g] = h
+	}
 }
 
 func (s *state) undo() {
-	mark := s.trailMark[len(s.trailMark)-1]
-	s.trailMark = s.trailMark[:len(s.trailMark)-1]
-	for len(s.trail) > mark {
+	m := s.marks[len(s.marks)-1]
+	s.marks = s.marks[:len(s.marks)-1]
+	for len(s.trail) > m.trail {
 		x := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
-		if x <= -1000000 {
-			a := AtomID(-(x + 1000000))
-			at := s.p.atoms[a]
+		if x < 0 {
+			at := s.p.atoms[^x]
 			s.chosen[at.Group] = -1
-			s.nChosen--
 			s.cost -= at.Weight
-		} else {
-			s.alive[x] = true
+			continue
 		}
+		s.alive[x] = true
+		g := s.p.atoms[x].Group
+		if s.nAlive[g] == 0 {
+			s.empty--
+		}
+		s.nAlive[g]++
+	}
+	for len(s.headTrail) > m.headTrail {
+		u := s.headTrail[len(s.headTrail)-1]
+		s.headTrail = s.headTrail[:len(s.headTrail)-1]
+		s.head[u.group] = u.head
 	}
 }
 
@@ -412,26 +510,25 @@ func (p *Problem) Render() string {
 		}
 		fmt.Fprintf(&b, "{ %s } = 1. %% group %s\n", strings.Join(names, "; "), p.groupName[gi])
 	}
-	seen := map[[2]AtomID]bool{}
-	for a, cs := range p.conflicts {
-		for _, c := range cs {
-			k := [2]AtomID{AtomID(a), c}
-			if k[0] > k[1] {
-				k[0], k[1] = k[1], k[0]
+	var pairs [][2]AtomID
+	for _, set := range p.sets {
+		for i, x := range set {
+			for _, y := range set[i+1:] {
+				pairs = append(pairs, [2]AtomID{min(x, y), max(x, y)})
 			}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fmt.Fprintf(&b, ":- h(%s,%s), h(%s,%s).\n",
-				p.atoms[k[0]].X, p.atoms[k[0]].Y, p.atoms[k[1]].X, p.atoms[k[1]].Y)
 		}
 	}
-	for a, imps := range p.implies {
-		for _, i := range imps {
-			fmt.Fprintf(&b, ":- h(%s,%s), not h(%s,%s).\n",
-				p.atoms[a].X, p.atoms[a].Y, p.atoms[i].X, p.atoms[i].Y)
-		}
+	// Sorted and deduplicated: a pair may come from several sets.
+	slices.SortFunc(pairs, func(x, y [2]AtomID) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	for _, k := range slices.Compact(pairs) {
+		fmt.Fprintf(&b, ":- h(%s,%s), h(%s,%s).\n",
+			p.atoms[k[0]].X, p.atoms[k[0]].Y, p.atoms[k[1]].X, p.atoms[k[1]].Y)
+	}
+	for _, imp := range p.implies {
+		a, i := p.atoms[imp[0]], p.atoms[imp[1]]
+		fmt.Fprintf(&b, ":- h(%s,%s), not h(%s,%s).\n", a.X, a.Y, i.X, i.Y)
 	}
 	var costs []string
 	for _, a := range p.atoms {

@@ -1,15 +1,17 @@
 package asp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 // bruteMin enumerates every complete selection (one atom per group) and
-// returns the minimum cost among those satisfying all conflicts and
-// implications, or -1 when unsatisfiable. Exponential — used only on
-// tiny random instances as an oracle for the solver.
+// returns the minimum cost among those satisfying all at-most-one sets
+// (conflicts included) and implications, or -1 when unsatisfiable.
+// Exponential — used only on tiny random instances as an oracle for the
+// solver.
 func bruteMin(p *Problem) int {
 	n := p.NumGroups()
 	selected := make([]AtomID, n)
@@ -23,16 +25,20 @@ func bruteMin(p *Problem) int {
 				chosen[a] = true
 				cost += p.Atom(a).Weight
 			}
-			for _, a := range selected {
-				for _, c := range p.conflicts[a] {
-					if chosen[c] {
-						return
+			for _, set := range p.sets {
+				n := 0
+				for _, a := range set {
+					if chosen[a] {
+						n++
 					}
 				}
-				for _, imp := range p.implies[a] {
-					if !chosen[imp] {
-						return
-					}
+				if n > 1 {
+					return
+				}
+			}
+			for _, imp := range p.implies {
+				if chosen[imp[0]] && !chosen[imp[1]] {
+					return
 				}
 			}
 			if best < 0 || cost < best {
@@ -49,39 +55,73 @@ func bruteMin(p *Problem) int {
 	return best
 }
 
-// randomProblem builds a small random instance with groups, shared-
-// target conflicts and a few implications.
+// randomProblem builds a small random instance (see problemFromBytes).
 func randomProblem(rng *rand.Rand) *Problem {
+	data := make([]byte, 64)
+	rng.Read(data)
+	return problemFromBytes(data)
+}
+
+// problemFromBytes builds a small instance from a byte string, reading
+// zeros once the bytes run out: groups of candidates over a few
+// targets; injectivity over each shared target given as one
+// at-most-one set, as pairwise conflicts, or not at all; a few extra
+// at-most-one sets over arbitrary distinct atoms; and a few
+// implications between atoms of different groups.
+func problemFromBytes(data []byte) *Problem {
+	next := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0]) % n
+		data = data[1:]
+		return v
+	}
 	p := NewProblem()
-	nGroups := 2 + rng.Intn(4)
-	nTargets := 2 + rng.Intn(4)
-	atomsByTarget := make([][]AtomID, nTargets)
+	nGroups := 1 + next(5)
+	nTargets := 2 + next(4)
+	byTarget := make([][]AtomID, nTargets)
 	var all []AtomID
 	for g := 0; g < nGroups; g++ {
-		gi := p.AddGroup("g")
-		nCands := 1 + rng.Intn(nTargets)
-		perm := rng.Perm(nTargets)
-		for c := 0; c < nCands; c++ {
-			y := perm[c]
-			a := p.AddAtom(gi, "x", "y", rng.Intn(4))
-			atomsByTarget[y] = append(atomsByTarget[y], a)
+		x := fmt.Sprintf("x%d", g)
+		gi := p.AddGroup(x)
+		used := make([]bool, nTargets)
+		for c, n := 0, 1+next(nTargets); c < n; c++ {
+			y := next(nTargets)
+			if used[y] {
+				continue
+			}
+			used[y] = true
+			a := p.AddAtom(gi, x, fmt.Sprintf("y%d", y), next(4))
+			byTarget[y] = append(byTarget[y], a)
 			all = append(all, a)
 		}
 	}
-	// Injectivity over shared targets.
-	for _, atoms := range atomsByTarget {
-		for i := 0; i < len(atoms); i++ {
-			for j := i + 1; j < len(atoms); j++ {
-				if p.Atom(atoms[i]).Group != p.Atom(atoms[j]).Group {
+	for _, atoms := range byTarget {
+		switch next(3) {
+		case 0:
+			p.AddAtMostOne(atoms)
+		case 1:
+			for i := 0; i < len(atoms); i++ {
+				for j := i + 1; j < len(atoms); j++ {
 					p.AddConflict(atoms[i], atoms[j])
 				}
 			}
 		}
 	}
-	// A few random implications between atoms of different groups.
-	for i := 0; i < rng.Intn(3); i++ {
-		a := all[rng.Intn(len(all))]
-		b := all[rng.Intn(len(all))]
+	for i, n := 0, next(3); i < n; i++ {
+		var set []AtomID
+		seen := map[AtomID]bool{}
+		for k, m := 0, 2+next(3); k < m; k++ {
+			if a := all[next(len(all))]; !seen[a] {
+				seen[a] = true
+				set = append(set, a)
+			}
+		}
+		p.AddAtMostOne(set)
+	}
+	for i, n := 0, next(4); i < n; i++ {
+		a, b := all[next(len(all))], all[next(len(all))]
 		if p.Atom(a).Group != p.Atom(b).Group {
 			p.AddImplication(a, b)
 		}

@@ -7,7 +7,7 @@ package asp
 //     the cardinality-1 choice rules;
 //   - label mismatches are pruned during grounding, realizing the
 //     label-preservation constraints;
-//   - conflicts realize the injectivity constraints;
+//   - at-most-one sets realize the injectivity constraints;
 //   - implications realize the endpoint-preservation constraints;
 //   - atom weights realize cost/3 with the #minimize directive.
 //

@@ -30,6 +30,7 @@ package match
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"provmark/internal/asp"
 	"provmark/internal/graph"
@@ -46,13 +47,11 @@ var ErrNotSimilar = errors.New("match: graphs are not similar")
 // recording is monotonic so this indicates a failed/garbled trial.
 var ErrNoEmbedding = errors.New("match: no subgraph embedding exists")
 
-// encoding records, for each asp group, which G1 element it stands for,
-// and for each atom, which G2 element its Y names.
+// encoding records, for each asp group, which G1 element it stands for.
+// Each atom's Y names the G2 element it maps onto.
 type encoding struct {
 	problem *asp.Problem
 	groupOf []graph.ElemID // group index -> G1 element
-	yOf     [][]graph.ElemID
-	atomIDs [][]asp.AtomID
 }
 
 func (enc *encoding) decode(sol *asp.Solution) Mapping {
@@ -121,7 +120,7 @@ func solveIso(g1, g2 *graph.Graph) (Mapping, bool) {
 // generalization stage: the surviving properties are those invariant
 // across trials.
 func GeneralizePair(g1, g2 *graph.Graph) (*graph.Graph, Mapping, error) {
-	if g1.NumNodes() != g2.NumNodes() || g1.NumEdges() != g2.NumEdges() || !graph.SameLabelCounts(g1, g2) {
+	if !sameShape(g1, g2) {
 		return nil, nil, ErrNotSimilar
 	}
 	enc, err := encodeIso(g1, g2, propDiffWeight)
@@ -263,138 +262,141 @@ func keepCommonProps(out *graph.Graph, id graph.ElemID, mine, theirs graph.Prope
 
 // encodeIso grounds Listing 3 (full isomorphism with optional weights).
 // WL-colour pruning is sound here: any label-preserving isomorphism maps
-// nodes to nodes of the same refined colour.
+// nodes to nodes of the same refined colour, so a g1 node's candidates
+// are the g2 nodes of its (label, colour) bucket.
 func encodeIso(g1, g2 *graph.Graph, wf weightFunc) (*encoding, error) {
 	c1 := graph.WLColors(g1, graph.CanonRounds)
 	c2 := graph.WLColors(g2, graph.CanonRounds)
-	p := asp.NewProblem()
-	enc := &encoding{problem: p}
-
-	nodeAtom := make(map[[2]graph.ElemID]asp.AtomID)
-	usedBy := make(map[graph.ElemID][]asp.AtomID) // G2 element -> atoms mapping onto it
-
-	for _, n1 := range g1.Nodes() {
-		gi := p.AddGroup("node " + string(n1.ID))
-		enc.groupOf = append(enc.groupOf, n1.ID)
-		any := false
-		for _, n2 := range g2.Nodes() {
-			if n1.Label != n2.Label || c1[n1.ID] != c2[n2.ID] {
-				continue
-			}
-			w := 0
-			if wf != nil {
-				w = wf(n1.Props, n2.Props)
-			}
-			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), w)
-			nodeAtom[[2]graph.ElemID{n1.ID, n2.ID}] = a
-			usedBy[n2.ID] = append(usedBy[n2.ID], a)
-			any = true
-		}
-		if !any {
-			return nil, fmt.Errorf("node %s has no candidates", n1.ID)
-		}
+	type nodeKey struct{ label, color string }
+	buckets := make(map[nodeKey][]int32)
+	for i, n := range g2.Nodes() {
+		k := nodeKey{n.Label, c2[n.ID]}
+		buckets[k] = append(buckets[k], int32(i))
 	}
-	for _, e1 := range g1.Edges() {
-		gi := p.AddGroup("edge " + string(e1.ID))
-		enc.groupOf = append(enc.groupOf, e1.ID)
-		any := false
-		for _, e2 := range g2.Edges() {
-			if e1.Label != e2.Label {
-				continue
-			}
-			sa, okS := nodeAtom[[2]graph.ElemID{e1.Src, e2.Src}]
-			ta, okT := nodeAtom[[2]graph.ElemID{e1.Tgt, e2.Tgt}]
-			if !okS || !okT {
-				continue
-			}
-			w := 0
-			if wf != nil {
-				w = wf(e1.Props, e2.Props)
-			}
-			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), w)
-			usedBy[e2.ID] = append(usedBy[e2.ID], a)
-			p.AddImplication(a, sa)
-			p.AddImplication(a, ta)
-			any = true
-		}
-		if !any {
-			return nil, fmt.Errorf("edge %s has no candidates", e1.ID)
-		}
+	if wf == nil {
+		wf = func(graph.Properties, graph.Properties) int { return 0 }
 	}
-	addInjectivity(p, usedBy)
-	return enc, nil
+	return ground(g1, g2, func(n1 *graph.Node) []int32 {
+		return buckets[nodeKey{n1.Label, c1[n1.ID]}]
+	}, wf)
 }
 
 // encodeSubgraph grounds Listing 4. WL pruning is unsound for subgraph
 // embedding (the foreground has extra structure), so candidates are
-// filtered only by label and per-label degree bounds.
+// filtered only by label and per-label degree bounds: every edge label
+// incident to a bg node must be at least as frequent, in the same
+// direction, at its fg candidate.
 func encodeSubgraph(bg, fg *graph.Graph) (*encoding, error) {
+	need, have := labelDegrees(bg), labelDegrees(fg)
+	fgNodes := fg.Nodes()
+	byLabel := make(map[string][]int32)
+	for i, n := range fgNodes {
+		byLabel[n.Label] = append(byLabel[n.Label], int32(i))
+	}
+	return ground(bg, fg, func(x *graph.Node) []int32 {
+		var cands []int32
+	next:
+		for _, i := range byLabel[x.Label] {
+			for k, v := range need[x.ID] {
+				if have[fgNodes[i].ID][k] < v {
+					continue next
+				}
+			}
+			cands = append(cands, i)
+		}
+		return cands
+	}, subgraphCost)
+}
+
+// degreeKey is one (direction, edge label) class of a node's incident
+// edges.
+type degreeKey struct {
+	out   bool
+	label string
+}
+
+// labelDegrees counts each node's incident edges per degreeKey.
+func labelDegrees(g *graph.Graph) map[graph.ElemID]map[degreeKey]int {
+	deg := make(map[graph.ElemID]map[degreeKey]int, g.NumNodes())
+	add := func(id graph.ElemID, k degreeKey) {
+		m := deg[id]
+		if m == nil {
+			m = make(map[degreeKey]int)
+			deg[id] = m
+		}
+		m[k]++
+	}
+	for _, e := range g.Edges() {
+		add(e.Src, degreeKey{true, e.Label})
+		add(e.Tgt, degreeKey{false, e.Label})
+	}
+	return deg
+}
+
+// ground builds the matching program of g1 into g2 shared by Listings 3
+// and 4: one selection group per g1 node, then per g1 edge; node
+// candidates are the g2 node indices nodeCands returns, ascending (g2
+// order); edge candidates are the same-label g2 edges, in g2 order,
+// whose endpoints are candidates of the g1 edge's endpoints, each
+// implying those endpoint atoms; and one at-most-one set per g2 element
+// over the atoms mapping onto it (the injectivity rules :- X<>Y,
+// h(X,Z), h(Y,Z)).
+func ground(g1, g2 *graph.Graph, nodeCands func(*graph.Node) []int32, wf weightFunc) (*encoding, error) {
 	p := asp.NewProblem()
 	enc := &encoding{problem: p}
+	nodes1, nodes2, edges2 := g1.Nodes(), g2.Nodes(), g2.Edges()
+	// usedBy lists the atoms mapping onto each g2 node, then each g2 edge.
+	usedBy := make([][]asp.AtomID, len(nodes2)+len(edges2))
 
-	degOK := func(x *graph.Node, y *graph.Node) bool {
-		// Every edge label incident to x must be at least as frequent at y.
-		need := map[string]int{}
-		for _, e := range bg.Edges() {
-			if e.Src == x.ID {
-				need[">"+e.Label]++
-			}
-			if e.Tgt == x.ID {
-				need["<"+e.Label]++
-			}
-		}
-		have := map[string]int{}
-		for _, e := range fg.Edges() {
-			if e.Src == y.ID {
-				have[">"+e.Label]++
-			}
-			if e.Tgt == y.ID {
-				have["<"+e.Label]++
-			}
-		}
-		for k, v := range need {
-			if have[k] < v {
-				return false
-			}
-		}
-		return true
-	}
-
-	nodeAtom := make(map[[2]graph.ElemID]asp.AtomID)
-	usedBy := make(map[graph.ElemID][]asp.AtomID)
-
-	for _, n1 := range bg.Nodes() {
+	// The atoms of g1 node i1 are first[i1], first[i1]+1, ... for the
+	// g2 nodes cands[i1], in that order.
+	cands := make([][]int32, len(nodes1))
+	first := make([]asp.AtomID, len(nodes1))
+	index1 := make(map[graph.ElemID]int32, len(nodes1))
+	for i1, n1 := range nodes1 {
+		index1[n1.ID] = int32(i1)
 		gi := p.AddGroup("node " + string(n1.ID))
 		enc.groupOf = append(enc.groupOf, n1.ID)
-		any := false
-		for _, n2 := range fg.Nodes() {
-			if n1.Label != n2.Label || !degOK(n1, n2) {
-				continue
-			}
-			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), subgraphCost(n1.Props, n2.Props))
-			nodeAtom[[2]graph.ElemID{n1.ID, n2.ID}] = a
-			usedBy[n2.ID] = append(usedBy[n2.ID], a)
-			any = true
-		}
-		if !any {
+		cands[i1] = nodeCands(n1)
+		if len(cands[i1]) == 0 {
 			return nil, fmt.Errorf("node %s has no candidates", n1.ID)
 		}
+		first[i1] = asp.AtomID(p.NumAtoms())
+		for _, i2 := range cands[i1] {
+			n2 := nodes2[i2]
+			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), wf(n1.Props, n2.Props))
+			usedBy[i2] = append(usedBy[i2], a)
+		}
 	}
-	for _, e1 := range bg.Edges() {
+	nodeAtom := func(i1, i2 int32) (asp.AtomID, bool) {
+		k, found := slices.BinarySearch(cands[i1], i2)
+		return first[i1] + asp.AtomID(k), found
+	}
+
+	index2 := make(map[graph.ElemID]int32, len(nodes2))
+	for i, n := range nodes2 {
+		index2[n.ID] = int32(i)
+	}
+	edgesByLabel := make(map[string][]int32)
+	ends2 := make([][2]int32, len(edges2))
+	for j, e := range edges2 {
+		edgesByLabel[e.Label] = append(edgesByLabel[e.Label], int32(j))
+		ends2[j] = [2]int32{index2[e.Src], index2[e.Tgt]}
+	}
+	for _, e1 := range g1.Edges() {
 		gi := p.AddGroup("edge " + string(e1.ID))
 		enc.groupOf = append(enc.groupOf, e1.ID)
+		src, tgt := index1[e1.Src], index1[e1.Tgt]
 		any := false
-		for _, e2 := range fg.Edges() {
-			if e1.Label != e2.Label {
-				continue
-			}
-			sa, okS := nodeAtom[[2]graph.ElemID{e1.Src, e2.Src}]
-			ta, okT := nodeAtom[[2]graph.ElemID{e1.Tgt, e2.Tgt}]
+		for _, j := range edgesByLabel[e1.Label] {
+			sa, okS := nodeAtom(src, ends2[j][0])
+			ta, okT := nodeAtom(tgt, ends2[j][1])
 			if !okS || !okT {
 				continue
 			}
-			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), subgraphCost(e1.Props, e2.Props))
-			usedBy[e2.ID] = append(usedBy[e2.ID], a)
+			e2 := edges2[j]
+			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), wf(e1.Props, e2.Props))
+			usedBy[len(nodes2)+int(j)] = append(usedBy[len(nodes2)+int(j)], a)
 			p.AddImplication(a, sa)
 			p.AddImplication(a, ta)
 			any = true
@@ -403,20 +405,8 @@ func encodeSubgraph(bg, fg *graph.Graph) (*encoding, error) {
 			return nil, fmt.Errorf("edge %s has no candidates", e1.ID)
 		}
 	}
-	addInjectivity(p, usedBy)
-	return enc, nil
-}
-
-// addInjectivity adds pairwise conflicts between atoms sharing a target
-// element (the :- X<>Y, h(X,Z), h(Y,Z) rules).
-func addInjectivity(p *asp.Problem, usedBy map[graph.ElemID][]asp.AtomID) {
 	for _, atoms := range usedBy {
-		for i := 0; i < len(atoms); i++ {
-			for j := i + 1; j < len(atoms); j++ {
-				if p.Atom(atoms[i]).Group != p.Atom(atoms[j]).Group {
-					p.AddConflict(atoms[i], atoms[j])
-				}
-			}
-		}
+		p.AddAtMostOne(atoms)
 	}
+	return enc, nil
 }
