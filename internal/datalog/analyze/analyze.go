@@ -8,13 +8,14 @@
 // Two kinds of output:
 //
 //   - Diagnostics. Error-severity findings are exactly the programs
-//     the evaluation engine rejects (unsafe rules, unstratified
-//     negation) plus defects that make a program meaningless even
-//     though the engine would accept it (inconsistent arities — a
-//     typo'd arity silently joins nothing). Warning-severity findings
-//     are suspicious but evaluable: undefined or dead predicates,
-//     always-empty rules, cartesian products, goal-unreachable rules.
-//     A program with no Error diagnostics always Runs without error.
+//     the evaluation engine rejects: unsafe rules and unstratified
+//     negation, taken from the engine's own verdicts
+//     (datalog.Violations), and inconsistent arities, which the
+//     analyzer checks itself (FuzzAnalyzeRules holds it to Run).
+//     Warning-severity findings are suspicious but evaluable:
+//     undefined or dead predicates, always-empty rules, cartesian
+//     products, goal-unreachable rules. A program with no Error
+//     diagnostics always Runs without error.
 //
 //   - Optimized programs (optimize.go). Goal-directed relevance
 //     pruning drops rules that cannot contribute to a query goal, and
@@ -207,10 +208,9 @@ func Check(src string, opts Options) (*Program, []Diagnostic) {
 // are not repeated here; Check combines both.
 func (p *Program) Analyze(opts Options) []Diagnostic {
 	a := &analysis{prog: p, base: opts.base(), goal: opts.Goal}
-	a.checkSafety()
+	a.checkViolations()
 	a.checkArities()
 	a.checkDefined()
-	a.checkStratification()
 	a.checkAlwaysEmpty()
 	a.checkCartesian()
 	if opts.Goal != nil {
@@ -230,24 +230,18 @@ type analysis struct {
 	diags []Diagnostic
 }
 
-// report files a diagnostic for rule ri. atom >= 0 addresses a body
-// atom, atomHead the head, atomNone the whole rule.
-const (
-	atomHead = -1
-	atomNone = -2
-)
+// atomHead addresses a rule's head, as datalog.Violation.Atom does.
+const atomHead = -1
 
+// report files a diagnostic for rule ri at body atom atom, or at the
+// head for atomHead.
 func (a *analysis) report(sev Severity, code Code, ri, atom int, pred, msg string) {
 	d := Diagnostic{Severity: sev, Code: code, Message: msg, Pred: pred, Rule: ri}
 	if ri >= 0 && ri < len(a.prog.Sources) {
 		src := a.prog.Sources[ri]
-		switch {
-		case atom == atomHead || atom == atomNone:
-			d.Span = src.Head
-		case atom >= 0 && atom < len(src.Body):
+		d.Span = src.Head
+		if atom >= 0 && atom < len(src.Body) {
 			d.Span = src.Body[atom]
-		default:
-			d.Span = src.Head
 		}
 		if d.Span.Line == 0 {
 			d.Span.Line = src.Line
@@ -256,42 +250,30 @@ func (a *analysis) report(sev Severity, code Code, ri, atom int, pred, msg strin
 	a.diags = append(a.diags, d)
 }
 
-// checkSafety mirrors the engine's checkRules exactly — the same
-// violations, atom by atom, so an analysis-clean program can never be
-// rejected by Run for safety.
-func (a *analysis) checkSafety() {
-	for ri, r := range a.prog.Rules {
-		if r.Head.Negated {
-			a.report(Error, CodeNegatedHead, ri, atomHead, r.Head.Pred,
-				fmt.Sprintf("rule head %s is negated", r.Head))
+// checkViolations reports the engine's own safety and stratification
+// verdicts (datalog.Violations), one diagnostic per violation, so an
+// analysis-clean program is never rejected by Run for either.
+func (a *analysis) checkViolations() {
+	for _, v := range datalog.Violations(a.prog.Rules) {
+		r := a.prog.Rules[v.Rule]
+		var code Code
+		var msg string
+		pred := r.Head.Pred
+		switch v.Kind {
+		case datalog.NegatedHead:
+			code, msg = CodeNegatedHead, fmt.Sprintf("rule head %s is negated", r.Head)
+		case datalog.WildcardHead:
+			code, msg = CodeWildcardHead, fmt.Sprintf("wildcard in rule head %s", r.Head)
+		case datalog.UnboundHeadVar:
+			code, msg = CodeUnboundHeadVar, fmt.Sprintf("head variable %s in %s is not bound by any positive body atom", v.Var, r.Head)
+		case datalog.UnboundNegationVar:
+			pred = r.Body[v.Atom].Pred
+			code, msg = CodeUnboundNegationVar, fmt.Sprintf("variable %s under negation in %s is not bound by a preceding positive atom", v.Var, r.Body[v.Atom])
+		case datalog.UnstratifiedNegation:
+			pred = v.Pred
+			code, msg = CodeUnstratifiedNegation, fmt.Sprintf("recursion through negation: %s cannot be stratified", v.Pred)
 		}
-		bound := map[string]bool{}
-		for ai, at := range r.Body {
-			if at.Negated {
-				for _, t := range at.Terms {
-					if t.Var != "" && !bound[t.Var] {
-						a.report(Error, CodeUnboundNegationVar, ri, ai, at.Pred,
-							fmt.Sprintf("variable %s under negation in %s is not bound by a preceding positive atom", t.Var, at))
-					}
-				}
-				continue
-			}
-			for _, t := range at.Terms {
-				if t.Var != "" {
-					bound[t.Var] = true
-				}
-			}
-		}
-		for _, t := range r.Head.Terms {
-			switch {
-			case t.Wild:
-				a.report(Error, CodeWildcardHead, ri, atomHead, r.Head.Pred,
-					fmt.Sprintf("wildcard in rule head %s", r.Head))
-			case t.Var != "" && !bound[t.Var]:
-				a.report(Error, CodeUnboundHeadVar, ri, atomHead, r.Head.Pred,
-					fmt.Sprintf("head variable %s in %s is not bound by any positive body atom", t.Var, r.Head))
-			}
-		}
+		a.report(Error, code, v.Rule, v.Atom, pred, msg)
 	}
 }
 
@@ -374,42 +356,6 @@ func (a *analysis) checkDefined() {
 			Severity: Warning, Code: CodeUndefinedPredicate, Pred: a.goal.Pred, Rule: -1,
 			Message: fmt.Sprintf("goal predicate %s is never defined: no rule derives it and it is not a base predicate", a.goal.Pred),
 		})
-	}
-}
-
-// checkStratification mirrors the engine's stratify: a positive
-// dependency never decreases the stratum, a negative one strictly
-// increases it; when no assignment exists, the program recurses
-// through negation and Run rejects it.
-func (a *analysis) checkStratification() {
-	derived := map[string]bool{}
-	for _, r := range a.prog.Rules {
-		derived[r.Head.Pred] = true
-	}
-	stratum := map[string]int{}
-	for changed := true; changed; {
-		changed = false
-		for ri, r := range a.prog.Rules {
-			h := r.Head.Pred
-			for ai, at := range r.Body {
-				if !derived[at.Pred] {
-					continue
-				}
-				min := stratum[at.Pred]
-				if at.Negated {
-					min++
-				}
-				if stratum[h] < min {
-					stratum[h] = min
-					if stratum[h] > len(derived) {
-						a.report(Error, CodeUnstratifiedNegation, ri, ai, at.Pred,
-							fmt.Sprintf("recursion through negation: %s cannot be stratified", at.Pred))
-						return
-					}
-					changed = true
-				}
-			}
-		}
 	}
 }
 

@@ -2,7 +2,7 @@ package analyze_test
 
 import (
 	"encoding/json"
-	"strings"
+	"errors"
 	"testing"
 
 	"provmark/internal/datalog"
@@ -18,27 +18,37 @@ func mustParse(t *testing.T, src string) *analyze.Program {
 	return prog
 }
 
-// TestSpans pins the scanner's byte attribution on a line with the
-// hostile cases: quoted ":-", quoted comma, quoted dot, leading space.
+// TestSpans pins the byte attribution on lines with the hostile cases:
+// quoted ":-", quoted comma, quoted dot, leading space, and white space
+// beyond space and tab (a vertical tab after the terminating dot, a
+// no-break space before a body atom), which the parser trims.
 func TestSpans(t *testing.T) {
-	src := `  out(X) :- prop(X, ":-", "a,b"), node(X, "end.").` + "\n"
-	prog := mustParse(t, src)
-	if len(prog.Rules) != 1 || len(prog.Rules[0].Body) != 2 {
-		t.Fatalf("parsed %+v", prog.Rules)
+	cases := []struct {
+		line string
+		head string
+		body []string
+	}{
+		{`  out(X) :- prop(X, ":-", "a,b"), node(X, "end.").`, "out(X)", []string{`prop(X, ":-", "a,b")`, `node(X, "end.")`}},
+		{`p(X) :- node(X, "a").` + "\v", "p(X)", []string{`node(X, "a")`}},
+		{"p(X) :- \u00a0node(X, \"a\"),\u00a0not q(X).", "p(X)", []string{`node(X, "a")`, "not q(X)"}},
 	}
-	s := prog.Sources[0]
-	line := strings.TrimRight(src, "\n")
-	if got := line[s.Head.Col-1 : s.Head.EndCol-1]; got != "out(X)" {
-		t.Errorf("head span = %q", got)
-	}
-	if got := line[s.Body[0].Col-1 : s.Body[0].EndCol-1]; got != `prop(X, ":-", "a,b")` {
-		t.Errorf("body[0] span = %q", got)
-	}
-	if got := line[s.Body[1].Col-1 : s.Body[1].EndCol-1]; got != `node(X, "end.")` {
-		t.Errorf("body[1] span = %q", got)
-	}
-	if s.Line != 1 {
-		t.Errorf("line = %d", s.Line)
+	for _, tc := range cases {
+		prog := mustParse(t, tc.line+"\n")
+		if len(prog.Rules) != 1 || len(prog.Rules[0].Body) != len(tc.body) {
+			t.Fatalf("%q parsed to %+v", tc.line, prog.Rules)
+		}
+		s := prog.Sources[0]
+		if s.Line != 1 {
+			t.Errorf("%q: line = %d", tc.line, s.Line)
+		}
+		if got := tc.line[s.Head.Col-1 : s.Head.EndCol-1]; got != tc.head {
+			t.Errorf("%q: head span = %q, want %q", tc.line, got, tc.head)
+		}
+		for i, want := range tc.body {
+			if got := tc.line[s.Body[i].Col-1 : s.Body[i].EndCol-1]; got != want {
+				t.Errorf("%q: body[%d] span = %q, want %q", tc.line, i, got, want)
+			}
+		}
 	}
 }
 
@@ -185,7 +195,12 @@ func TestCatalogueCoversCodes(t *testing.T) {
 }
 
 // TestAnalysisMatchesEngineAcceptance: on each unsafe fixture shape the
-// analyzer reports an error exactly when the engine rejects Run.
+// analyzer reports an error exactly when the engine rejects Run, and
+// Run's *datalog.Violation names the rule of the analyzer's first error
+// diagnostic and the atom of its first diagnostic with the matching
+// code. (The first error overall can sit on another atom of that rule:
+// in neg(X) the head's unbound X sorts before the body's negation,
+// which the engine detects first.)
 func TestAnalysisMatchesEngineAcceptance(t *testing.T) {
 	cases := []string{
 		`not bad(X) :- node(X, "a").`,
@@ -198,15 +213,54 @@ win(X) :- move(X, Y), not win(Y).`,
 		// written-order boundness, so this must be an error too.
 		`late(X) :- not ghost(X), node(X, "a").
 ghost(X) :- node(X, "g").`,
+		`clean(X) :- node(X, "a").
+unsafe(X) :- clean(X), not edge(_, X, Y, _).`,
+	}
+	codes := map[datalog.ViolationKind]analyze.Code{
+		datalog.NegatedHead:          analyze.CodeNegatedHead,
+		datalog.WildcardHead:         analyze.CodeWildcardHead,
+		datalog.UnboundHeadVar:       analyze.CodeUnboundHeadVar,
+		datalog.UnboundNegationVar:   analyze.CodeUnboundNegationVar,
+		datalog.UnstratifiedNegation: analyze.CodeUnstratifiedNegation,
 	}
 	for _, src := range cases {
 		prog, diags := analyze.Check(src, analyze.Options{})
 		if !analyze.HasErrors(diags) {
 			t.Errorf("no analysis error for:\n%s", src)
+			continue
 		}
 		db := datalog.NewDatabase()
-		if err := db.Run(prog.Rules); err == nil {
-			t.Errorf("engine accepted what analysis rejects:\n%s", src)
+		err := db.Run(prog.Rules)
+		var v *datalog.Violation
+		if !errors.As(err, &v) {
+			t.Errorf("Run = %v, want a *datalog.Violation for:\n%s", err, src)
+			continue
+		}
+		var first, sameCode *analyze.Diagnostic
+		for i := range diags {
+			if d := &diags[i]; d.Severity == analyze.Error {
+				if first == nil {
+					first = d
+				}
+				if sameCode == nil && d.Code == codes[v.Kind] {
+					sameCode = d
+				}
+			}
+		}
+		if first.Rule != v.Rule {
+			t.Errorf("Run blames rule %d, analyzer's first error is on rule %d:\n%s", v.Rule, first.Rule, src)
+		}
+		if sameCode == nil {
+			t.Errorf("no %s diagnostic for Run's %v:\n%s", codes[v.Kind], v, src)
+			continue
+		}
+		want := prog.Sources[v.Rule].Head
+		if v.Atom >= 0 {
+			want = prog.Sources[v.Rule].Body[v.Atom]
+		}
+		if sameCode.Rule != v.Rule || sameCode.Span != want {
+			t.Errorf("Run blames rule %d atom %d (%v), analyzer's %s is on rule %d at %v:\n%s",
+				v.Rule, v.Atom, want, sameCode.Code, sameCode.Rule, sameCode.Span, src)
 		}
 	}
 }

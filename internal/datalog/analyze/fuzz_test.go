@@ -1,19 +1,22 @@
 package analyze_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 
 	"provmark/internal/datalog"
 	"provmark/internal/datalog/analyze"
 )
 
 // FuzzAnalyzeRules drives the analyzer with arbitrary rule text and
-// enforces its contracts: it never panics; it reports arity-mismatch
-// exactly when Run rejects the program with an arity mismatch; and a
-// program it passes as error-free is never rejected by the engine —
-// neither as written nor after goal-directed optimization, and the
-// optimized bindings match the unoptimized ones on a small fact set.
+// enforces its contracts: it never panics; every rule's spans cover
+// exactly its atoms (checkSpans); it reports arity-mismatch exactly
+// when Run rejects the program with an arity mismatch; and a program
+// it passes as error-free is never rejected by the engine — neither as
+// written nor after goal-directed optimization, and the optimized
+// bindings match the unoptimized ones on a small fact set.
 func FuzzAnalyzeRules(f *testing.F) {
 	seeds := []string{
 		"",
@@ -26,6 +29,8 @@ func FuzzAnalyzeRules(f *testing.F) {
 		`pair(X, Y) :- node(X, "a"), node(Y, "b").`,
 		`p("\\") :- node(":-", "a,b").`,
 		"broken(X :- node(X).",
+		"  p(X) :- node(X, \"a\").\v\r\n\tq(X) :-\u00a0node(X, _),\u00a0not p(X).",
+		`p(a), q(b) :- r(c) :- node(d, "a").`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -44,6 +49,7 @@ func FuzzAnalyzeRules(f *testing.F) {
 			return
 		}
 		prog, diags := analyze.Check(src, analyze.Options{})
+		checkSpans(t, src, prog)
 		if len(prog.Rules) == 0 || len(prog.Rules) > 6 {
 			return
 		}
@@ -102,4 +108,54 @@ func FuzzAnalyzeRules(f *testing.F) {
 			t.Fatalf("interned-par bindings differ for %s\ngot:\n%s\nwant:\n%s\nprogram:\n%s", goal, got, want, src)
 		}
 	})
+}
+
+// checkSpans holds every rule's spans to its source line: each span
+// slices to text that parses back to the same atom, and on lines whose
+// only white space is space, tab or a trailing carriage return the
+// spans equal the frozen reference scanner's.
+func checkSpans(t *testing.T, src string, prog *analyze.Program) {
+	t.Helper()
+	lines := strings.Split(src, "\n")
+	for i, rs := range prog.Sources {
+		line, r := lines[rs.Line-1], prog.Rules[i]
+		if len(rs.Body) != len(r.Body) {
+			t.Fatalf("line %d: %d body spans for %d body atoms\n%q", rs.Line, len(rs.Body), len(r.Body), line)
+		}
+		// A head span re-parses as a body-less rule; a body span as the
+		// only body atom of a rule (a head may hold top-level commas, a
+		// body atom a top-level ":-").
+		if got, err := datalog.ParseRule(spanText(t, line, rs.Head)); err != nil || len(got.Body) != 0 || !reflect.DeepEqual(got.Head, r.Head) {
+			t.Fatalf("line %d: head span %q parses to %v (%v), want %s", rs.Line, spanText(t, line, rs.Head), got, err, r.Head)
+		}
+		for j, sp := range rs.Body {
+			got, err := datalog.ParseRule("h() :- " + spanText(t, line, sp))
+			if err != nil || len(got.Body) != 1 || !reflect.DeepEqual(got.Body[0], r.Body[j]) {
+				t.Fatalf("line %d: body span %q parses to %v (%v), want %s", rs.Line, spanText(t, line, sp), got, err, r.Body[j])
+			}
+		}
+		if plain := strings.TrimRight(line, " \t\r"); strings.IndexFunc(plain, func(c rune) bool {
+			return unicode.IsSpace(c) && c != ' ' && c != '\t'
+		}) >= 0 {
+			continue
+		}
+		head, body := analyze.ReferenceSpans(line, rs.Line, len(r.Body))
+		if head != rs.Head || !reflect.DeepEqual(body, rs.Body) {
+			t.Fatalf("line %d: spans %v %v, reference scanner %v %v\n%q", rs.Line, rs.Head, rs.Body, head, body, line)
+		}
+	}
+}
+
+// spanText is the text of line a span covers, which must be an atom's
+// text alone: no surrounding white space, no terminating dot.
+func spanText(t *testing.T, line string, sp analyze.Span) string {
+	t.Helper()
+	if sp.Col < 1 || sp.EndCol < sp.Col || sp.EndCol-1 > len(line) {
+		t.Fatalf("span %v out of range of %q", sp, line)
+	}
+	text := line[sp.Col-1 : sp.EndCol-1]
+	if text != strings.TrimSpace(text) || !strings.HasSuffix(text, ")") {
+		t.Fatalf("span %v covers %q, not an atom's text", sp, text)
+	}
+	return text
 }

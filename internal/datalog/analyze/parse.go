@@ -7,12 +7,10 @@ import (
 	"provmark/internal/datalog"
 )
 
-// This file parses rule sources with positions. The datalog package's
-// parser produces the Rule values; the scanner here re-walks each line
-// with the same quoted-string discipline (a backslash consumes the
-// next byte) to attribute a byte span to the head and to every body
-// atom, so diagnostics can point at the offending atom rather than
-// the whole line.
+// This file parses rule sources with positions. datalog.ParseRuleSpans
+// parses each line and reports where its head and body atoms lie; the
+// offsets become Spans here, so diagnostics can point at the offending
+// atom rather than the whole line.
 
 // Program is a parsed rule set with per-rule source positions.
 // Rules[i] corresponds to Sources[i].
@@ -45,7 +43,7 @@ func ParseSource(src string) (*Program, []Diagnostic) {
 			continue
 		}
 		lineNo := li + 1
-		r, err := datalog.ParseRule(trimmed)
+		r, spans, err := datalog.ParseRuleSpans(line)
 		if err != nil {
 			start := strings.Index(line, trimmed)
 			diags = append(diags, Diagnostic{
@@ -57,22 +55,14 @@ func ParseSource(src string) (*Program, []Diagnostic) {
 			})
 			continue
 		}
-		head, body := spanLine(line, lineNo, len(r.Body))
+		src := RuleSource{Line: lineNo, Text: trimmed, Head: lineSpan(lineNo, spans.Head)}
+		for _, sp := range spans.Body {
+			src.Body = append(src.Body, lineSpan(lineNo, sp))
+		}
 		prog.Rules = append(prog.Rules, r)
-		prog.Sources = append(prog.Sources, RuleSource{Line: lineNo, Text: trimmed, Head: head, Body: body})
+		prog.Sources = append(prog.Sources, src)
 	}
 	return prog, diags
-}
-
-// ParseFile reads and parses a rule file; the error is I/O-only —
-// syntax problems come back as diagnostics.
-func ParseFile(path string) (*Program, []Diagnostic, error) {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, diags := ParseSource(string(text))
-	return prog, diags, nil
 }
 
 // CheckFile is Check over a file: parse + analyze, combined sorted
@@ -93,148 +83,8 @@ func FromRules(rules []datalog.Rule) *Program {
 	return &Program{Rules: rules, Sources: make([]RuleSource, len(rules))}
 }
 
-// spanLine attributes byte spans within one source line to the rule's
-// head and each of its nBody body atoms, using the same quote/paren
-// discipline as the rule parser. If the scan disagrees with the parsed
-// body count (it should not), every atom falls back to the full span.
-func spanLine(line string, lineNo, nBody int) (Span, []Span) {
-	start := 0
-	for start < len(line) && (line[start] == ' ' || line[start] == '\t') {
-		start++
-	}
-	end := len(line)
-	for end > start && (line[end-1] == ' ' || line[end-1] == '\t' || line[end-1] == '\r') {
-		end--
-	}
-	// Strip the terminating dot when it lies outside quotes, mirroring
-	// splitRule's first pass.
-	lastOutside := -1
-	for i := start; i < end; {
-		if line[i] == '"' {
-			next, ok := skipQuotedSpan(line, i)
-			if !ok {
-				i = end
-				break
-			}
-			i = next
-			continue
-		}
-		lastOutside = i
-		i++
-	}
-	if lastOutside == end-1 && end > start && line[end-1] == '.' {
-		end--
-	}
-	// Find the first top-level ":-".
-	op := -1
-	depth := 0
-	for i := start; i < end && op < 0; {
-		switch line[i] {
-		case '"':
-			next, ok := skipQuotedSpan(line, i)
-			if !ok {
-				i = end
-				continue
-			}
-			i = next
-		case '(':
-			depth++
-			i++
-		case ')':
-			depth--
-			i++
-		case ':':
-			if depth == 0 && i+1 < end && line[i+1] == '-' {
-				op = i
-				continue
-			}
-			i++
-		default:
-			i++
-		}
-	}
-	whole := trimSpan(line, lineNo, start, end)
-	if op < 0 {
-		if nBody != 0 {
-			return whole, fallbackSpans(whole, nBody)
-		}
-		return whole, nil
-	}
-	head := trimSpan(line, lineNo, start, op)
-	pieces := splitSpan(line, lineNo, op+2, end)
-	if len(pieces) != nBody {
-		return head, fallbackSpans(trimSpan(line, lineNo, op+2, end), nBody)
-	}
-	return head, pieces
-}
-
-// splitSpan splits line[start:end] at top-level commas (outside quotes
-// and parentheses) into trimmed spans.
-func splitSpan(line string, lineNo, start, end int) []Span {
-	var out []Span
-	depth := 0
-	pieceStart := start
-	for i := start; i < end; {
-		switch c := line[i]; {
-		case c == '"':
-			next, ok := skipQuotedSpan(line, i)
-			if !ok {
-				i = end
-				continue
-			}
-			i = next
-		case c == '(':
-			depth++
-			i++
-		case c == ')':
-			depth--
-			i++
-		case c == ',' && depth == 0:
-			out = append(out, trimSpan(line, lineNo, pieceStart, i))
-			pieceStart = i + 1
-			i++
-		default:
-			i++
-		}
-	}
-	out = append(out, trimSpan(line, lineNo, pieceStart, end))
-	return out
-}
-
-// trimSpan shrinks [start, end) past surrounding spaces and returns it
-// as a 1-based Span.
-func trimSpan(line string, lineNo, start, end int) Span {
-	for start < end && (line[start] == ' ' || line[start] == '\t') {
-		start++
-	}
-	for end > start && (line[end-1] == ' ' || line[end-1] == '\t') {
-		end--
-	}
-	return Span{Line: lineNo, Col: start + 1, EndCol: end + 1}
-}
-
-func fallbackSpans(whole Span, n int) []Span {
-	out := make([]Span, n)
-	for i := range out {
-		out[i] = whole
-	}
-	return out
-}
-
-// skipQuotedSpan mirrors the datalog lexer's skipQuoted: from
-// line[i] == '"', return the index just past the closing quote; a
-// backslash consumes the following byte.
-func skipQuotedSpan(line string, i int) (int, bool) {
-	i++
-	for i < len(line) {
-		switch line[i] {
-		case '\\':
-			i += 2
-		case '"':
-			return i + 1, true
-		default:
-			i++
-		}
-	}
-	return i, false
+// lineSpan converts a byte range of source line lineNo to a 1-based
+// Span.
+func lineSpan(lineNo int, sp datalog.Span) Span {
+	return Span{Line: lineNo, Col: sp.Start + 1, EndCol: sp.End + 1}
 }

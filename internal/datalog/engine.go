@@ -3,15 +3,18 @@ package datalog
 // Static checks and stratification shared by every evaluator, plus the
 // evaluation counters.
 //
-//   - Safety. checkRules rejects negated heads, head wildcards, unbound
-//     head variables and variables under negation that no preceding
-//     positive atom binds, even when no fact would ever reach the rule.
+//   - Safety. safetyViolations finds negated heads, head wildcards,
+//     unbound head variables and variables under negation that no
+//     preceding positive atom binds, even when no fact would ever reach
+//     the rule.
 //   - Stratum ordering. Rules are grouped by the stratum of their head
 //     predicate (Ullman's algorithm over the predicate dependency
 //     graph), so non-recursive predicates finalize once and negation
 //     over derived-but-finalized predicates from lower strata is sound.
 //     Only recursion *through negation* is rejected.
 //
+// Both reject with a *Violation naming the rule and atom at fault;
+// Violations lists them all for the static analyzer (package analyze).
 // Run (interned.go) evaluates each stratum semi-naively over interned
 // columns; RunNaive (naive.go) is the frozen differential oracle.
 //
@@ -51,43 +54,106 @@ func positionSig(positions []int) string {
 	return strings.Join(parts, ",")
 }
 
-// checkRules statically enforces rule safety, so unsafe rules fail
-// loudly even when no facts would reach them at run time:
+// ViolationKind classifies a static rejection.
+type ViolationKind int
+
+const (
+	// NegatedHead: the rule head is negated.
+	NegatedHead ViolationKind = iota
+	// WildcardHead: the rule head contains the _ wildcard.
+	WildcardHead
+	// UnboundHeadVar: a head variable no positive body atom binds.
+	UnboundHeadVar
+	// UnboundNegationVar: a variable under negation that no preceding
+	// positive body atom binds.
+	UnboundNegationVar
+	// UnstratifiedNegation: recursion through negation.
+	UnstratifiedNegation
+)
+
+// Violation is a static rejection of a rule program: an unsafe rule or
+// recursion through negation. Run and RunNaive return the first one as
+// their error.
+type Violation struct {
+	Kind ViolationKind
+	// Rule indexes the rule slice the program was checked as.
+	Rule int
+	// Atom indexes the rule's body; -1 addresses the head.
+	Atom int
+	// Var is the offending variable of the unbound-variable kinds.
+	Var string
+	// Pred is the negated predicate of UnstratifiedNegation.
+	Pred string
+	// rule is the offending rule, for Error.
+	rule Rule
+}
+
+func (v *Violation) Error() string {
+	switch v.Kind {
+	case NegatedHead:
+		return fmt.Sprintf("datalog: negated rule head in %s", v.rule)
+	case WildcardHead:
+		return fmt.Sprintf("datalog: wildcard in rule head %s", v.rule.Head)
+	case UnboundHeadVar:
+		return fmt.Sprintf("datalog: unbound head variable %s in %s", v.Var, v.rule.Head)
+	case UnboundNegationVar:
+		return fmt.Sprintf("datalog: unbound variable %s under negation in %s", v.Var, v.rule.Body[v.Atom])
+	default:
+		return fmt.Sprintf("datalog: unstratified negation of derived predicate %s in %s", v.Pred, v.rule)
+	}
+}
+
+// Violations returns every safety violation of the program in
+// detection order, followed by its stratification violation, if any.
+// The program evaluates (arities aside) exactly when it is empty.
+func Violations(rules []Rule) []*Violation {
+	out := safetyViolations(rules)
+	if v := stratumOf(rules, map[string]int{}); v != nil {
+		out = append(out, v)
+	}
+	return out
+}
+
+// safetyViolations statically enforces rule safety, so unsafe rules
+// fail loudly even when no facts would reach them at run time:
 //
 //   - heads carry no wildcards and no negation;
 //   - every head variable is bound by a positive body atom;
 //   - every variable under negation is bound by a preceding positive
 //     body atom (range restriction — negation as failure is only safe
 //     on ground atoms).
-func checkRules(rules []Rule) error {
-	for _, r := range rules {
+//
+// Each rule reports its negated head first, then its body atoms in
+// order, then its head terms; a variable is reported at every
+// occurrence.
+func safetyViolations(rules []Rule) []*Violation {
+	var out []*Violation
+	for ri, r := range rules {
 		if r.Head.Negated {
-			return fmt.Errorf("datalog: negated rule head in %s", r)
+			out = append(out, &Violation{Kind: NegatedHead, Rule: ri, Atom: -1, rule: r})
 		}
 		bound := map[string]bool{}
-		for _, a := range r.Body {
-			if a.Negated {
-				if err := checkNegBound(a, bound); err != nil {
-					return err
-				}
-				continue
-			}
+		for ai, a := range r.Body {
 			for _, t := range a.Terms {
-				if t.Var != "" {
+				switch {
+				case t.Var == "":
+				case !a.Negated:
 					bound[t.Var] = true
+				case !bound[t.Var]:
+					out = append(out, &Violation{Kind: UnboundNegationVar, Rule: ri, Atom: ai, Var: t.Var, rule: r})
 				}
 			}
 		}
 		for _, t := range r.Head.Terms {
 			switch {
 			case t.Wild:
-				return fmt.Errorf("datalog: wildcard in rule head %s", r.Head)
+				out = append(out, &Violation{Kind: WildcardHead, Rule: ri, Atom: -1, rule: r})
 			case t.Var != "" && !bound[t.Var]:
-				return fmt.Errorf("datalog: unbound head variable %s in %s", t.Var, r.Head)
+				out = append(out, &Violation{Kind: UnboundHeadVar, Rule: ri, Atom: -1, Var: t.Var, rule: r})
 			}
 		}
 	}
-	return nil
+	return out
 }
 
 // checkArities rejects a program that uses a predicate at two
@@ -122,33 +188,21 @@ func (db *Database) checkArities(rules []Rule) error {
 	return nil
 }
 
-// checkNegBound rejects negated atoms with variables not bound by a
-// preceding positive atom.
-func checkNegBound(a Atom, bound map[string]bool) error {
-	for _, t := range a.Terms {
-		if t.Var != "" && !bound[t.Var] {
-			return fmt.Errorf("datalog: unbound variable %s under negation in %s", t.Var, a)
-		}
-	}
-	return nil
-}
-
-// stratify assigns every derived predicate a stratum such that a
-// positive dependency never decreases the stratum and a negative
-// dependency strictly increases it, then groups the rules by their
-// head's stratum in ascending order. Programs where no such assignment
-// exists (recursion through negation) are rejected.
-func stratify(rules []Rule) ([][]Rule, error) {
+// stratumOf fills stratum with a stratum for every derived predicate
+// such that a positive dependency never decreases the stratum and a
+// negative dependency strictly increases it. Programs where no such
+// assignment exists (recursion through negation) are rejected. The
+// caller owns the map so that it need not escape to the heap.
+func stratumOf(rules []Rule, stratum map[string]int) *Violation {
 	derived := map[string]bool{}
 	for _, r := range rules {
 		derived[r.Head.Pred] = true
 	}
-	stratum := map[string]int{}
 	for changed := true; changed; {
 		changed = false
-		for _, r := range rules {
+		for ri, r := range rules {
 			h := r.Head.Pred
-			for _, a := range r.Body {
+			for ai, a := range r.Body {
 				if !derived[a.Pred] {
 					continue // base predicates sit below every stratum
 				}
@@ -159,12 +213,22 @@ func stratify(rules []Rule) ([][]Rule, error) {
 				if stratum[h] < min {
 					stratum[h] = min
 					if stratum[h] > len(derived) {
-						return nil, fmt.Errorf("datalog: unstratified negation of derived predicate %s in %s", a.Pred, r)
+						return &Violation{Kind: UnstratifiedNegation, Rule: ri, Atom: ai, Pred: a.Pred, rule: r}
 					}
 					changed = true
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// stratify groups the rules by their head's stratum (stratumOf) in
+// ascending order.
+func stratify(rules []Rule) ([][]Rule, *Violation) {
+	stratum := map[string]int{}
+	if v := stratumOf(rules, stratum); v != nil {
+		return nil, v
 	}
 	maxStratum := 0
 	for _, s := range stratum {

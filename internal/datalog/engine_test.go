@@ -67,7 +67,7 @@ allgood(X) :- good(X), not bad(X).
 }
 
 // TestSafetyRejections is the table test over the static safety
-// checks: checkNegBound range restriction, unstratified negation, and
+// checks: range restriction under negation, unstratified negation, and
 // malformed heads. Both engines must reject each program (the naive
 // reference may reject a superset, e.g. stratified-but-derived
 // negation).

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,8 @@ var fuzzBaseFacts = []Fact{
 // round-trip invariant: any input ParseRule accepts must render
 // (String) to a form that re-parses to the identical rendering —
 // parse-then-render is a normalization whose fixed point is reached
-// after one step. The checked-in corpus under testdata/fuzz seeds
+// after one step; and ParseRuleSpans' spans cover exactly the atoms'
+// text. The checked-in corpus under testdata/fuzz seeds
 // escapes, negation, wildcards and nested quotes.
 func FuzzParseRule(f *testing.F) {
 	for _, seed := range []string{
@@ -40,6 +42,7 @@ func FuzzParseRule(f *testing.F) {
 		`seed("a").`,
 		`p(bare, Mixed, "const") :- q(bare).`,
 		`escalation(New, Old) :- edge(_, New, Old, "wasInformedBy"), prop(New, "uid", "0").`,
+		"\fp(X) :-\u00a0q(X),\vnot r(X).",
 	} {
 		f.Add(seed)
 	}
@@ -47,6 +50,19 @@ func FuzzParseRule(f *testing.F) {
 		r, err := ParseRule(input)
 		if err != nil {
 			return // rejected inputs are fine; we only check accepted ones
+		}
+		// ParseRuleSpans locates each atom at exactly the text it was
+		// parsed from.
+		_, spans, _ := ParseRuleSpans(input)
+		for i, sp := range append([]Span{spans.Head}, spans.Body...) {
+			want := r.Head
+			if i > 0 {
+				want = r.Body[i-1]
+			}
+			text := input[sp.Start:sp.End]
+			if a, err := parseAtom(text); err != nil || text != strings.TrimSpace(text) || !reflect.DeepEqual(a, want) {
+				t.Fatalf("span %v of %q covers %q, parsed as %v (%v), want %s", sp, input, text, a, err, want)
+			}
 		}
 		rendered := r.String()
 		r2, err := ParseRule(rendered)

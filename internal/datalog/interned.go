@@ -181,12 +181,12 @@ func (db *Database) RunParallel(rules []Rule, workers int) error {
 	if err := db.checkArities(rules); err != nil {
 		return err
 	}
-	if err := checkRules(rules); err != nil {
-		return err
+	if vs := safetyViolations(rules); len(vs) > 0 {
+		return vs[0]
 	}
-	strata, err := stratify(rules)
-	if err != nil {
-		return err
+	strata, v := stratify(rules)
+	if v != nil {
+		return v
 	}
 	db.stats.Strata = len(strata)
 	for _, stratum := range strata {
@@ -286,8 +286,8 @@ func (db *Database) compileRule(r Rule, heads map[string]*relation) cRule {
 			}
 		}
 		if !a.Negated {
-			// Negated atoms never bind (checkRules enforced it); positive
-			// atoms commit their new variables to the slot map.
+			// Negated atoms never bind (safetyViolations enforced it);
+			// positive atoms commit their new variables to the slot map.
 			for v, s := range atomSeen {
 				slots[v] = s
 			}

@@ -1,7 +1,5 @@
 package datalog
 
-import "fmt"
-
 // RunNaive evaluates the rules with the original naive fixpoint
 // strategy this package shipped with: every iteration re-joins every
 // rule against the entire fact set, with no delta relations and no
@@ -16,17 +14,17 @@ import "fmt"
 // It shares Run's static safety check, so an unsafe rule is rejected
 // even when no binding ever reaches its head.
 func (db *Database) RunNaive(rules []Rule) error {
-	if err := checkRules(rules); err != nil {
-		return err
+	if vs := safetyViolations(rules); len(vs) > 0 {
+		return vs[0]
 	}
 	heads := map[string]bool{}
 	for _, r := range rules {
 		heads[r.Head.Pred] = true
 	}
-	for _, r := range rules {
-		for _, a := range r.Body {
+	for ri, r := range rules {
+		for ai, a := range r.Body {
 			if a.Negated && heads[a.Pred] {
-				return fmt.Errorf("datalog: unstratified negation of derived predicate %s in %s", a.Pred, r)
+				return &Violation{Kind: UnstratifiedNegation, Rule: ri, Atom: ai, Pred: a.Pred, rule: r}
 			}
 		}
 	}

@@ -176,7 +176,11 @@ func TestFormatBindings(t *testing.T) {
 // block must always parse (and the README block must run within the
 // supported fragment).
 func TestCheckedInRulesParse(t *testing.T) {
-	rules, err := ParseRulesFile("../../examples/detection/suspicious.dl")
+	text, err := os.ReadFile("../../examples/detection/suspicious.dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := ParseRules(string(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package datalog
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
+	"unicode"
 
 	"provmark/internal/graph"
 )
@@ -593,26 +593,44 @@ func FormatBindings(goal Atom, rows []map[string]string) string {
 // quotes and parentheses) and the terminating dot is only stripped
 // outside quotes, so constants like ":-" and "." parse correctly.
 func ParseRule(s string) (Rule, error) {
-	headText, bodyText, hasBody := splitRule(strings.TrimSpace(s))
-	head, err := parseAtom(strings.TrimSpace(headText))
+	r, _, err := ParseRuleSpans(s)
+	return r, err
+}
+
+// Span is a half-open byte range [Start, End) of a rule's source text.
+type Span struct{ Start, End int }
+
+// RuleSpans locates a parsed rule's atoms in the text ParseRuleSpans
+// was given: Head spans the head atom, Body[i] spans Rule.Body[i].
+// Each span covers exactly the text its atom was parsed from, with a
+// leading "not " included and surrounding white space excluded.
+type RuleSpans struct {
+	Head Span
+	Body []Span
+}
+
+// ParseRuleSpans is ParseRule that also returns where each atom lies
+// in s, found by the same scan that splits the rule.
+func ParseRuleSpans(s string) (Rule, RuleSpans, error) {
+	head, body, hasBody := splitRule(s, trimSpan(s, Span{0, len(s)}))
+	spans := RuleSpans{Head: trimSpan(s, head)}
+	h, err := parseAtom(s[spans.Head.Start:spans.Head.End])
 	if err != nil {
-		return Rule{}, err
+		return Rule{}, RuleSpans{}, err
 	}
-	var body []Atom
+	r := Rule{Head: h}
 	if hasBody {
-		bodyAtoms, err := splitAtoms(strings.TrimSpace(bodyText))
-		if err != nil {
-			return Rule{}, err
+		if spans.Body, err = splitAtoms(s, trimSpan(s, body)); err != nil {
+			return Rule{}, RuleSpans{}, err
 		}
-		for _, ba := range bodyAtoms {
-			a, err := parseAtom(ba)
-			if err != nil {
-				return Rule{}, err
+		r.Body = make([]Atom, len(spans.Body))
+		for i, sp := range spans.Body {
+			if r.Body[i], err = parseAtom(s[sp.Start:sp.End]); err != nil {
+				return Rule{}, RuleSpans{}, err
 			}
-			body = append(body, a)
 		}
 	}
-	return Rule{Head: head, Body: body}, nil
+	return r, spans, nil
 }
 
 // ParseAtom parses one positive goal atom, e.g. `suspicious(P)` — the
@@ -626,20 +644,6 @@ func ParseAtom(s string) (Atom, error) {
 		return Atom{}, fmt.Errorf("datalog: negated goal %q", s)
 	}
 	return a, nil
-}
-
-// ParseRulesFile reads and parses a rule file, wrapping parse errors
-// with the path — the -rules flag loader shared by the CLIs.
-func ParseRulesFile(path string) ([]Rule, error) {
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rules, err := ParseRules(string(text))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rules, nil
 }
 
 // ParseRules parses one rule per non-empty, non-comment line.
@@ -679,20 +683,28 @@ func skipQuoted(s string, i int) (int, bool) {
 	return i, false
 }
 
-// splitRule splits a rule's text into head and body at the first
-// top-level ":-" and strips a terminating dot when it lies outside
-// quotes.
-func splitRule(s string) (head, body string, hasBody bool) {
+// trimSpan shrinks sp past leading and trailing white space, exactly
+// as strings.TrimSpace would trim s[sp.Start:sp.End].
+func trimSpan(s string, sp Span) Span {
+	rest := strings.TrimLeftFunc(s[sp.Start:sp.End], unicode.IsSpace)
+	start := sp.End - len(rest)
+	return Span{start, start + len(strings.TrimRightFunc(rest, unicode.IsSpace))}
+}
+
+// splitRule splits the rule text s[sp.Start:sp.End] into head and
+// body at the first top-level ":-" and strips a terminating dot when
+// it lies outside quotes.
+func splitRule(s string, sp Span) (head, body Span, hasBody bool) {
+	s = s[:sp.End]
 	// First pass: trim the trailing dot only when the final byte is not
 	// inside a quoted constant (`p(".").` keeps its constant).
 	lastOutside := -1
-	for i := 0; i < len(s); {
+	for i := sp.Start; i < len(s); {
 		if s[i] == '"' {
 			next, ok := skipQuoted(s, i)
 			if !ok {
 				// Unterminated string: everything to the end is
 				// in-string; the atom parsers report the error.
-				i = len(s)
 				break
 			}
 			i = next
@@ -701,17 +713,17 @@ func splitRule(s string) (head, body string, hasBody bool) {
 		lastOutside = i
 		i++
 	}
-	if lastOutside == len(s)-1 && strings.HasSuffix(s, ".") {
-		s = s[:len(s)-1]
+	if lastOutside >= 0 && lastOutside == len(s)-1 && s[lastOutside] == '.' {
+		s = s[:lastOutside]
 	}
 	// Second pass: find the first ":-" outside quotes and parentheses.
 	depth := 0
-	for i := 0; i < len(s); {
+	for i := sp.Start; i < len(s); {
 		switch s[i] {
 		case '"':
 			next, ok := skipQuoted(s, i)
 			if !ok {
-				return s, "", false
+				return Span{sp.Start, len(s)}, Span{}, false
 			}
 			i = next
 		case '(':
@@ -722,28 +734,32 @@ func splitRule(s string) (head, body string, hasBody bool) {
 			i++
 		case ':':
 			if depth == 0 && i+1 < len(s) && s[i+1] == '-' {
-				return s[:i], s[i+2:], true
+				return Span{sp.Start, i}, Span{i + 2, len(s)}, true
 			}
 			i++
 		default:
 			i++
 		}
 	}
-	return s, "", false
+	return Span{sp.Start, len(s)}, Span{}, false
 }
 
-// splitAtoms splits "a(...), b(...)" on top-level commas, honouring
-// quoted strings (via the shared lexer) and nested parentheses.
-func splitAtoms(s string) ([]string, error) {
-	var out []string
+// splitAtoms splits the body text s[sp.Start:sp.End] ("a(...),
+// b(...)") on top-level commas, honouring quoted strings (via the
+// shared lexer) and nested parentheses, and returns each atom's
+// trimmed span.
+func splitAtoms(s string, sp Span) ([]Span, error) {
+	text := s[sp.Start:sp.End]
+	s = s[:sp.End]
+	var out []Span
 	depth := 0
-	start := 0
-	for i := 0; i < len(s); {
+	start := sp.Start
+	for i := sp.Start; i < len(s); {
 		switch c := s[i]; {
 		case c == '"':
 			next, ok := skipQuoted(s, i)
 			if !ok {
-				return nil, fmt.Errorf("datalog: unterminated body in %q", s)
+				return nil, fmt.Errorf("datalog: unterminated body in %q", text)
 			}
 			i = next
 		case c == '(':
@@ -752,11 +768,11 @@ func splitAtoms(s string) ([]string, error) {
 		case c == ')':
 			depth--
 			if depth < 0 {
-				return nil, fmt.Errorf("datalog: unbalanced parens in %q", s)
+				return nil, fmt.Errorf("datalog: unbalanced parens in %q", text)
 			}
 			i++
 		case c == ',' && depth == 0:
-			out = append(out, strings.TrimSpace(s[start:i]))
+			out = append(out, trimSpan(s, Span{start, i}))
 			start = i + 1
 			i++
 		default:
@@ -764,9 +780,9 @@ func splitAtoms(s string) ([]string, error) {
 		}
 	}
 	if depth != 0 {
-		return nil, fmt.Errorf("datalog: unterminated body in %q", s)
+		return nil, fmt.Errorf("datalog: unterminated body in %q", text)
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
+	out = append(out, trimSpan(s, Span{start, len(s)}))
 	return out, nil
 }
 

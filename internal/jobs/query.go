@@ -143,8 +143,8 @@ func EvalQuery(req *wire.QueryRequest, res *wire.Result) (*wire.QueryResponse, e
 	db := datalog.NewDatabase()
 	db.LoadGraph(g)
 	if err := db.Run(rules); err != nil {
-		// Unreachable: the analyzer's error set covers the engine's
-		// rejections; kept as a client error out of caution.
+		// Unreachable: analysis reports every rejection Run makes
+		// (its own verdicts, arity fuzzed); kept out of caution.
 		return nil, err
 	}
 	bindings := db.Query(goal)
