@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -97,15 +96,11 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	effectiveWorkers := *workers
-	if effectiveWorkers < 1 {
-		effectiveWorkers = runtime.GOMAXPROCS(0)
-	}
 	// The effective config, for operators — auth is reported as a
 	// boolean only; the token value never reaches a log line.
 	logger.LogAttrs(ctx, slog.LevelInfo, "provmarkd starting",
 		slog.String("addr", *addr),
-		slog.Int("workers", effectiveWorkers),
+		slog.Int("workers", m.Workers()),
 		slog.Int("store_size", *storeSize),
 		slog.Int("max_jobs", *maxJobs),
 		slog.Bool("auth", *authToken != ""),

@@ -68,11 +68,15 @@ func (s *Suite) matrix(ctx context.Context, recs []capture.Recorder, progs []ben
 	if workers < 1 {
 		workers = 1
 	}
+	cols := make([]capture.RecorderContext, len(recs))
+	for i, rec := range recs {
+		cols[i] = capture.WithContext(rec)
+	}
 	m := provmark.Matrix{
-		Recorders:  recs,
-		Benchmarks: progs,
-		Workers:    workers,
-		Pipeline:   opts,
+		ContextRecorders: cols,
+		Benchmarks:       progs,
+		Workers:          workers,
+		Pipeline:         opts,
 	}
 	cells, err := m.Run(ctx)
 	if err != nil {

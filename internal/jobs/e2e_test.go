@@ -238,6 +238,53 @@ func TestManagerEvictsFinishedJobs(t *testing.T) {
 	}
 }
 
+// TestWorkersBoundAcrossJobs: Workers bounds cells in flight across
+// all jobs, not per job — two concurrent 3-cell jobs on a 2-slot
+// manager never have a third cell recording.
+func TestWorkersBoundAcrossJobs(t *testing.T) {
+	m := jobs.NewManager(jobs.Config{Workers: 2})
+	defer m.Close()
+	gateStarted, gateRelease := resetGate()
+	// Gated recordings ignore cancellation: open the gate before Close
+	// on every path, or a failed check would hang in Close.
+	release := sync.OnceFunc(func() { close(gateRelease) })
+	defer release()
+
+	var submitted []*jobs.Job
+	for _, benches := range [][]string{{"creat", "open", "close"}, {"rename", "write", "unlink"}} {
+		j, err := m.Submit(&wire.JobSpec{Tools: []string{"jobstest-gate"}, Benchmarks: benches, Trials: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, j)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-gateStarted:
+		case <-time.After(10 * time.Second):
+			t.Fatal("cells never reached the recorder")
+		}
+	}
+	select {
+	case <-gateStarted:
+		t.Fatal("a third cell started recording on a 2-slot manager")
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	release()
+	for _, j := range submitted {
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %s never finished", j.ID())
+		}
+		st := j.Status()
+		if st.State != wire.JobDone || st.Completed != 3 || st.Failed != 0 {
+			t.Errorf("job %s = %s, %d completed, %d failed; want done with 3 completed", j.ID(), st.State, st.Completed, st.Failed)
+		}
+	}
+}
+
 // TestServerRejectsBadSpecs maps spec validation onto HTTP 400.
 func TestServerRejectsBadSpecs(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1})

@@ -35,9 +35,6 @@ type Job struct {
 	results           []wire.MatrixResult // completion order
 	cellDone          []bool              // indexed like cells
 	update            chan struct{}       // closed and replaced on every append
-	fed               int                 // cells handed to the pool
-	fedAll            bool                // feeder finished (or aborted)
-	reported          int                 // cells that produced a MatrixResult
 	completed, failed int
 	finished          bool
 	state             string
@@ -48,7 +45,7 @@ type Job struct {
 func (j *Job) ID() string { return j.id }
 
 // Cancel aborts the job: in-flight cells stop at their next context
-// check and report context errors; unfed cells never start.
+// check and report context errors; unclaimed cells never start.
 func (j *Job) Cancel() { j.cancel() }
 
 // Done is closed when every started cell has reported and the job has
@@ -68,31 +65,24 @@ func (j *Job) isFinished() bool {
 // it to distinguish "stopping" from "stopped".
 func (j *Job) Canceled() <-chan struct{} { return j.ctx.Done() }
 
-// feed hands the job's cells to the shared pool, stopping early when
-// the job is canceled.
-func (j *Job) feed() {
-	for i := range j.cells {
-		j.mu.Lock()
-		j.fed++
-		j.mu.Unlock()
-		select {
-		case j.m.tasks <- task{job: j, index: i}:
-		case <-j.ctx.Done():
-			j.mu.Lock()
-			j.fed-- // this cell was never handed over
-			j.fedAll = true
-			j.maybeFinishLocked()
-			j.mu.Unlock()
-			return
-		}
-	}
+// run executes the job's cells on the manager's shared pool, then
+// settles the job once every claimed cell has reported.
+func (j *Job) run() {
+	j.m.pool.Each(j.ctx, len(j.cells), j.runCell)
 	j.mu.Lock()
-	j.fedAll = true
-	j.maybeFinishLocked()
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	j.finished = true
+	if j.ctx.Err() != nil {
+		j.state = wire.JobCanceled
+	} else {
+		j.state = wire.JobDone
+	}
+	j.cancel() // release the job's context resources in every path
+	close(j.done)
+	close(j.update) // wake watchers blocked on the current update epoch
 }
 
-// runCell executes one cell on a pool worker: serve from the dedup
+// runCell executes one cell on a pool slot: serve from the dedup
 // store on a key hit, otherwise run the pipeline and store the result.
 func (j *Job) runCell(i int) {
 	c := &j.cells[i]
@@ -126,13 +116,11 @@ func (j *Job) runCell(i int) {
 	j.report(out)
 }
 
-// report appends a completed cell, wakes watchers, and finalizes the
-// job when it was the last outstanding cell.
+// report appends a completed cell and wakes watchers.
 func (j *Job) report(r wire.MatrixResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.results = append(j.results, r)
-	j.reported++
 	if r.Err != "" {
 		j.failed++
 	} else {
@@ -141,24 +129,6 @@ func (j *Job) report(r wire.MatrixResult) {
 	j.cellDone[r.Index] = true
 	close(j.update)
 	j.update = make(chan struct{})
-	j.maybeFinishLocked()
-}
-
-// maybeFinishLocked settles the job once the feeder has stopped and
-// every fed cell has reported. Callers hold j.mu.
-func (j *Job) maybeFinishLocked() {
-	if j.finished || !j.fedAll || j.reported != j.fed {
-		return
-	}
-	j.finished = true
-	if j.ctx.Err() != nil {
-		j.state = wire.JobCanceled
-	} else {
-		j.state = wire.JobDone
-	}
-	j.cancel() // release the job's context resources in every path
-	close(j.done)
-	close(j.update) // wake watchers blocked on the current update epoch
 }
 
 // Status snapshots the job's externally visible state in wire form.

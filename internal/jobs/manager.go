@@ -1,7 +1,7 @@
 // Package jobs is ProvMark's job-oriented execution service: it
 // accepts matrix specifications in the versioned wire vocabulary
 // (wire.JobSpec), expands them into (tool, benchmark) cells, runs the
-// cells on one bounded worker pool shared by every job, and
+// cells of every job on one shared provmark.Pool, and
 // deduplicates identical cells through a size-bounded result store.
 // All jobs report to one similarity-classification engine, whose
 // counters Classifier exposes; classification itself keeps no state.
@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"provmark/internal/benchprog"
@@ -53,19 +52,17 @@ type Config struct {
 // DefaultMaxJobs bounds retained jobs when Config.MaxJobs is unset.
 const DefaultMaxJobs = 256
 
-// Manager owns the worker pool, the dedup store, the shared
+// Manager owns the cell pool, the dedup store, the shared
 // classification engine, the query counters, and the set of live jobs.
 type Manager struct {
-	cfg     Config
+	pool    *provmark.Pool
 	cls     *provmark.Classifier
 	store   *Store
-	tasks   chan task
 	queries queryCounters
 
-	//provmark:allow ctx-in-struct -- pool-lifetime root context, cancelled in Close
+	//provmark:allow ctx-in-struct -- manager-lifetime root context, cancelled in Close
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	wg         sync.WaitGroup
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -75,39 +72,28 @@ type Manager struct {
 	closed  bool
 }
 
-type task struct {
-	job   *Job
-	index int
-}
-
-// NewManager starts a job manager and its worker pool.
+// NewManager returns a job manager whose jobs share one pool of
+// cfg.Workers cell slots.
 func NewManager(cfg Config) *Manager {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	//provmark:allow ctx-background -- the manager is the process-lifetime root; there is no caller context
 	ctx, cancel := context.WithCancel(context.Background())
 	maxJobs := cfg.MaxJobs
 	if maxJobs < 1 {
 		maxJobs = DefaultMaxJobs
 	}
-	m := &Manager{
-		cfg:        cfg,
+	return &Manager{
+		pool:       provmark.NewPool(cfg.Workers),
 		cls:        provmark.NewClassifier(),
 		store:      NewStore(cfg.StoreSize),
-		tasks:      make(chan task),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		maxJobs:    maxJobs,
 	}
-	m.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go m.worker()
-	}
-	return m
 }
+
+// Workers reports how many cells run concurrently across all jobs.
+func (m *Manager) Workers() int { return m.pool.Workers() }
 
 // Store exposes the shared dedup store (read-mostly: stats, peeks).
 func (m *Manager) Store() *Store { return m.store }
@@ -161,8 +147,8 @@ func (m *Manager) Jobs() []*Job {
 	return out
 }
 
-// Close cancels every job, waits for them to settle, and stops the
-// worker pool. Submit fails with ErrClosed afterwards.
+// Close cancels every job and waits for them to settle. Submit fails
+// with ErrClosed afterwards.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -180,20 +166,11 @@ func (m *Manager) Close() {
 	for _, j := range jobs {
 		<-j.Done()
 	}
-	close(m.tasks)
-	m.wg.Wait()
-}
-
-func (m *Manager) worker() {
-	defer m.wg.Done()
-	for t := range m.tasks {
-		t.job.runCell(t.index)
-	}
 }
 
 // Submit validates a spec, expands it into cells (tool-major, the
-// Matrix grid order), registers the job, and starts feeding its cells
-// to the shared pool. It returns as soon as the job is queued.
+// Matrix grid order), registers the job, and starts running its cells
+// on the shared pool. It returns as soon as the job is queued.
 func (m *Manager) Submit(spec *wire.JobSpec) (*Job, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("%w: nil spec", ErrBadSpec)
@@ -293,7 +270,7 @@ func (m *Manager) Submit(spec *wire.JobSpec) (*Job, error) {
 	m.order = append(m.order, id)
 	m.evictLocked()
 	m.mu.Unlock()
-	go j.feed()
+	go j.run()
 	return j, nil
 }
 

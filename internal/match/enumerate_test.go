@@ -3,8 +3,40 @@ package match
 import (
 	"testing"
 
+	"provmark/internal/asp"
 	"provmark/internal/graph"
 )
+
+// EnumerateIsomorphisms visits structure/label isomorphisms from g1 to
+// g2 up to limit (limit <= 0 means all) and returns how many were
+// found. It is the building block the paper's future-work discussion
+// of nondeterministic activity needs: grouping the distinct graph
+// structures a concurrent program can produce requires knowing all the
+// ways two trial graphs align, not just one.
+func EnumerateIsomorphisms(g1, g2 *graph.Graph, limit int, fn func(Mapping) bool) int {
+	if g1.NumNodes() != g2.NumNodes() || g1.NumEdges() != g2.NumEdges() {
+		return 0
+	}
+	if !graph.SameLabelCounts(g1, g2) {
+		return 0
+	}
+	enc, err := encodeIso(g1, g2, nil)
+	if err != nil {
+		return 0
+	}
+	return enc.problem.SolveAll(limit, func(sol *asp.Solution) bool {
+		return fn(enc.decode(sol))
+	})
+}
+
+// CountAutomorphisms counts the label-preserving automorphisms of a
+// graph, up to limit. Symmetric provenance structures (e.g. n identical
+// files created by one process) have n! automorphisms, which is exactly
+// what makes the matching problems hard — the count quantifies instance
+// symmetry for the scalability analysis.
+func CountAutomorphisms(g *graph.Graph, limit int) int {
+	return EnumerateIsomorphisms(g, g, limit, func(Mapping) bool { return true })
+}
 
 // star builds one hub with n identical leaves.
 func star(t *testing.T, n int) *graph.Graph {

@@ -3,9 +3,7 @@ package provmark
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"provmark/internal/benchprog"
 	"provmark/internal/capture"
@@ -14,7 +12,7 @@ import (
 // Matrix describes a (tools × benchmarks) grid of pipeline runs — the
 // unit of work behind the paper's Table 2/3 and timing experiments,
 // and the execution path the CLIs and bench suite share. Cells fan out
-// over a bounded worker pool and results stream back as they complete:
+// over a Pool of Workers slots and results stream back as they complete:
 //
 //	m := provmark.Matrix{
 //		Tools:      []string{"spade", "opus", "camflow"},
@@ -29,13 +27,11 @@ type Matrix struct {
 	Tools []string
 	// Capture configures the registry backends named in Tools.
 	Capture capture.Options
-	// Recorders lists explicit recorder instances, appended after the
-	// Tools columns — for recorders with configurations the registry
-	// vocabulary cannot express.
-	Recorders []capture.Recorder
-	// ContextRecorders lists natively context-aware recorders, appended
-	// after Recorders. Unlike adapted legacy recorders, these can abort
-	// a trial already in flight when the run's context is cancelled.
+	// ContextRecorders lists explicit recorder instances, appended
+	// after the Tools columns — for recorders with configurations the
+	// registry vocabulary cannot express. capture.WithContext adapts a
+	// legacy recorder; natively context-aware ones can abort a trial
+	// already in flight when the run's context is cancelled.
 	ContextRecorders []capture.RecorderContext
 	// Benchmarks are the grid rows.
 	Benchmarks []benchprog.Program
@@ -70,16 +66,13 @@ type MatrixResult struct {
 // cells resolves the grid into its recorder columns and benchmark
 // rows, compiling any declarative scenarios into programs.
 func (m Matrix) cells() ([]capture.RecorderContext, []benchprog.Program, error) {
-	recs := make([]capture.RecorderContext, 0, len(m.Tools)+len(m.Recorders)+len(m.ContextRecorders))
+	recs := make([]capture.RecorderContext, 0, len(m.Tools)+len(m.ContextRecorders))
 	for _, name := range m.Tools {
 		rec, err := capture.OpenContext(name, m.Capture)
 		if err != nil {
 			return nil, nil, fmt.Errorf("provmark: matrix: %w", err)
 		}
 		recs = append(recs, rec)
-	}
-	for _, rec := range m.Recorders {
-		recs = append(recs, capture.WithContext(rec))
 	}
 	recs = append(recs, m.ContextRecorders...)
 	if len(recs) == 0 {
@@ -109,53 +102,25 @@ func (m Matrix) Stream(ctx context.Context) (<-chan MatrixResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := m.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	total := len(recs) * len(progs)
-	if workers > total {
-		workers = total
-	}
-
 	out := make(chan MatrixResult)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rec := recs[i/len(progs)]
-				prog := progs[i%len(progs)]
-				res, err := NewContext(rec, m.Pipeline...).RunContext(ctx, prog)
-				cell := MatrixResult{
-					Index:     i,
-					Tool:      rec.Name(),
-					Benchmark: prog.Name,
-					Result:    res,
-					Err:       err,
-				}
-				select {
-				case out <- cell:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
 	go func() {
 		defer close(out)
-	feed:
-		for i := 0; i < total; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
+		NewPool(m.Workers).Each(ctx, len(recs)*len(progs), func(i int) {
+			rec := recs[i/len(progs)]
+			prog := progs[i%len(progs)]
+			res, err := NewContext(rec, m.Pipeline...).RunContext(ctx, prog)
+			cell := MatrixResult{
+				Index:     i,
+				Tool:      rec.Name(),
+				Benchmark: prog.Name,
+				Result:    res,
+				Err:       err,
 			}
-		}
-		close(next)
-		wg.Wait()
+			select {
+			case out <- cell:
+			case <-ctx.Done():
+			}
+		})
 	}()
 	return out, nil
 }

@@ -33,9 +33,9 @@ func testPrograms(t *testing.T, names ...string) []benchprog.Program {
 func TestMatrixGrid(t *testing.T) {
 	recs := fastRecorders()
 	m := provmark.Matrix{
-		Recorders:  []capture.Recorder{recs["spade"], recs["opus"]},
-		Benchmarks: testPrograms(t, "creat", "open", "rename"),
-		Workers:    2,
+		ContextRecorders: []capture.RecorderContext{capture.WithContext(recs["spade"]), capture.WithContext(recs["opus"])},
+		Benchmarks:       testPrograms(t, "creat", "open", "rename"),
+		Workers:          2,
 	}
 	cells, err := m.Run(context.Background())
 	if err != nil {
@@ -99,8 +99,7 @@ func TestMatrixRegistryTools(t *testing.T) {
 func TestMatrixStreamYieldsIncrementally(t *testing.T) {
 	gated := &gatedRecorder{gate: make(chan struct{})}
 	m := provmark.Matrix{
-		Recorders:        []capture.Recorder{fastRecorders()["spade"]},
-		ContextRecorders: []capture.RecorderContext{gated},
+		ContextRecorders: []capture.RecorderContext{capture.WithContext(fastRecorders()["spade"]), gated},
 		Benchmarks:       testPrograms(t, "creat"),
 		Workers:          2,
 	}
@@ -156,8 +155,7 @@ func (gatedNative) Format() string { return "gated" }
 func TestMatrixCancellationAbortsPromptly(t *testing.T) {
 	rec := &gatedRecorder{gate: make(chan struct{})}
 	m := provmark.Matrix{
-		Recorders:        []capture.Recorder{fastRecorders()["spade"]},
-		ContextRecorders: []capture.RecorderContext{rec},
+		ContextRecorders: []capture.RecorderContext{capture.WithContext(fastRecorders()["spade"]), rec},
 		Benchmarks:       testPrograms(t, "creat", "open", "rename", "write"),
 		Workers:          2,
 	}

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"provmark/internal/benchprog"
@@ -286,33 +285,14 @@ func (r *Runner) record(ctx context.Context, prog benchprog.Program, v benchprog
 	return out, nil
 }
 
-// recordParallel fans trials out over a bounded worker pool. A
-// cancelled context stops workers from claiming further trials; the
+// recordParallel fans trials out over a Pool of workers slots. A
+// cancelled context stops the pool from claiming further trials; the
 // context-aware recorder aborts the trials already claimed.
 func (r *Runner) recordParallel(ctx context.Context, prog benchprog.Program, v benchprog.Variant, out []capture.Native, workers int) ([]capture.Native, error) {
-	trials := len(out)
-	errs := make([]error, trials)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				out[t], errs[t] = r.rec.Record(ctx, prog, v, t)
-			}
-		}()
-	}
-feed:
-	for t := 0; t < trials; t++ {
-		select {
-		case next <- t:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
+	errs := make([]error, len(out))
+	NewPool(workers).Each(ctx, len(out), func(t int) {
+		out[t], errs[t] = r.rec.Record(ctx, prog, v, t)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("provmark: recording: %w", err)
 	}
