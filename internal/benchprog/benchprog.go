@@ -7,14 +7,14 @@
 // execve, loader activity) is generated by oskernel.Launch for both
 // variants and therefore cancels in the comparison stage.
 //
-// Programs are represented as declarative scenarios — instruction
-// lists over the kernel's syscall dispatch table (see scenario.go) —
-// registered in a process-wide registry (registry.go, table2.go),
+// Every program is a declarative scenario — an instruction list over
+// the kernel's syscall dispatch table (see scenario.go) — registered
+// in a process-wide registry (registry.go, table2.go, attacks.go),
 // serialized by a strict canonical JSON codec (codec.go), and derived
 // from one another by generator combinators (generate.go). A Scenario
-// compiles to a Program; the frozen closure forms of the seed
-// (SeedSuite and friends) remain as the reference implementation the
-// compiler is differentially tested against.
+// compiles to a Program. The registry is the only definition of the
+// programs; testdata/scenario_streams.golden pins the kernel event
+// streams each registered program produces.
 package benchprog
 
 import (
@@ -40,13 +40,12 @@ func (v Variant) String() string {
 }
 
 // World is the mutable run context a step manipulates: the kernel, the
-// main benchmark process, an optional child, and named file descriptors
-// carried between steps (the C programs' local variables).
+// main benchmark process, and named file descriptors carried between
+// steps (the C programs' local variables).
 type World struct {
-	K     *oskernel.Kernel
-	Main  *oskernel.Process
-	Child *oskernel.Process
-	FD    map[string]int
+	K    *oskernel.Kernel
+	Main *oskernel.Process
+	FD   map[string]int
 	// Procs holds named child processes created by scenario
 	// instructions (save_proc slots). procNames preserves creation
 	// order so the implicit end-of-program exit sweep is deterministic.
@@ -121,27 +120,10 @@ func Run(k *oskernel.Kernel, prog Program, v Variant) error {
 	if w.Main.Alive {
 		k.Exit(w.Main, 0)
 	}
-	if w.Child != nil && w.Child.Alive {
-		k.Exit(w.Child, 0)
-	}
 	for _, name := range w.procNames {
 		if p := w.Procs[name]; p.Alive {
 			k.Exit(p, 0)
 		}
 	}
 	return nil
-}
-
-// expectOK fails a step when the syscall did not succeed; benchmark
-// scripts assert the target behaviour was actually performed (Section 4).
-func expectOK(ret int64, errno oskernel.Errno) error {
-	if errno != oskernel.OK {
-		return fmt.Errorf("syscall failed: %s", errno.Error())
-	}
-	_ = ret
-	return nil
-}
-
-func setupFile(path string) func(*oskernel.Kernel) {
-	return func(k *oskernel.Kernel) { k.MkFile(path, 1000, 0o644) }
 }

@@ -159,14 +159,3 @@ func FailureCases() []Program {
 	}
 	return out
 }
-
-// FailureCaseByName looks up one failure benchmark.
-func FailureCaseByName(name string) (Program, bool) {
-	registry.mu.RLock()
-	e, ok := registry.byName[name]
-	registry.mu.RUnlock()
-	if !ok || e.kind != KindFailure {
-		return Program{}, false
-	}
-	return e.scn.MustCompile(), true
-}

@@ -99,8 +99,9 @@ type Instr struct {
 // ErrnoAny marks an instruction that must fail, with any errno.
 const ErrnoAny = "any"
 
-// openFlagNames maps symbolic open-flag names to kernel flag bits, in
-// canonical encoding order. "rdonly" is zero and normalizes away.
+// openFlagOrder lists the symbolic open flags in canonical encoding
+// order; openFlagBits maps them to kernel flag bits. "rdonly" is zero
+// and normalizes away.
 var openFlagOrder = []string{"wronly", "rdwr", "creat", "trunc", "append", "cloexec"}
 
 var openFlagBits = map[string]int{
@@ -111,14 +112,6 @@ var openFlagBits = map[string]int{
 	"trunc":   oskernel.OTrunc,
 	"append":  oskernel.OAppend,
 	"cloexec": oskernel.OCloexec,
-}
-
-// OpenFlagNames lists the symbolic open-flag vocabulary in canonical
-// encoding order (the zero-valued "rdonly" is not included: it
-// normalizes away in the codec). Exported for scenario synthesis,
-// which samples flag sets from this vocabulary.
-func OpenFlagNames() []string {
-	return append([]string(nil), openFlagOrder...)
 }
 
 // OpenFlagBits maps a symbolic flag list to the kernel's open-flag

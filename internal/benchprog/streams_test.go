@@ -41,72 +41,31 @@ func streamDigest(t *testing.T, prog benchprog.Program) [32]byte {
 	return sum
 }
 
-func streamLine(kind benchprog.Kind, prog benchprog.Program, sum [32]byte) string {
-	return fmt.Sprintf("%s/%s %d %x", kind, prog.Name, prog.Group, sum)
-}
-
-// seedPrograms maps every program with a frozen closure form to that
-// closure, so the golden can be checked to be the closures' output.
-func seedPrograms() map[string]benchprog.Program {
-	seeds := make(map[string]benchprog.Program)
-	add := func(p benchprog.Program) { seeds[p.Name] = p }
-	for _, p := range benchprog.SeedSuite() {
-		add(p)
-	}
-	add(benchprog.SeedFailedRename())
-	add(benchprog.SeedPrivilegeEscalation())
-	add(benchprog.SeedRepeatedReads(8))
-	for _, n := range []int{1, 2, 4, 8} {
-		add(benchprog.SeedScaleProgram(n))
-	}
-	for _, p := range benchprog.SeedFailureCases() {
-		add(p)
-	}
-	return seeds
-}
-
 // TestScenarioStreamsPinned pins the kernel event streams of every
 // registered scenario: the Table 2 suite, the extra programs, the
 // failure cases and the attack chains. The golden holds one line per
 // program (kind/name, group, sha256 of the description and both
 // variants' streams) and must name exactly the registered programs.
-// Regenerate with
+// The non-attack lines were generated from the frozen closure forms
+// the scenarios replaced. Regenerate with
 //
 //	go test ./internal/benchprog -run TestScenarioStreamsPinned -update
 func TestScenarioStreamsPinned(t *testing.T) {
-	seeds := seedPrograms()
 	var got []string
-	var seedLines = map[string]string{}
 	for _, kind := range pinnedKinds {
 		for _, name := range benchprog.ScenarioNames(kind) {
 			prog, ok := benchprog.ByName(name)
 			if !ok {
 				t.Fatalf("no program %q", name)
 			}
-			got = append(got, streamLine(kind, prog, streamDigest(t, prog)))
-			if seed, ok := seeds[name]; ok {
-				seedLines[name] = streamLine(kind, seed, streamDigest(t, seed))
-				delete(seeds, name)
-			}
+			got = append(got, fmt.Sprintf("%s/%s %d %x", kind, name, prog.Group, streamDigest(t, prog)))
 		}
-	}
-	for name := range seeds {
-		t.Errorf("%s: seed closure has no registered scenario", name)
 	}
 	if *update {
-		var b strings.Builder
-		for _, line := range got {
-			name := strings.Fields(line)[0]
-			name = name[strings.IndexByte(name, '/')+1:]
-			if seed, ok := seedLines[name]; ok {
-				line = seed
-			}
-			b.WriteString(line + "\n")
-		}
 		if err := os.MkdirAll(filepath.Dir(streamsGolden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(streamsGolden, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(streamsGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -122,10 +81,8 @@ func TestScenarioStreamsPinned(t *testing.T) {
 		want[key] = line
 		order = append(order, key)
 	}
-	seen := make(map[string]bool)
 	for _, line := range got {
 		key := strings.Fields(line)[0]
-		seen[key] = true
 		w, ok := want[key]
 		switch {
 		case !ok:
@@ -133,13 +90,10 @@ func TestScenarioStreamsPinned(t *testing.T) {
 		case line != w:
 			t.Errorf("%s: event streams changed:\n got  %s\n want %s", key, line, w)
 		}
-		name := key[strings.IndexByte(key, '/')+1:]
-		if s, ok := seedLines[name]; ok && s != w {
-			t.Errorf("%s: seed closure differs from the golden:\n seed %s\n want %s", key, s, w)
-		}
+		delete(want, key)
 	}
 	for _, key := range order {
-		if !seen[key] {
+		if _, ok := want[key]; ok {
 			t.Errorf("%s: pinned but no longer registered", key)
 		}
 	}

@@ -1,10 +1,10 @@
 package benchprog
 
 // The Table 2 benchmark suite, the Section 3.1/5.2 extra programs, and
-// the failure-case suite, re-expressed on the declarative instruction
-// set and registered as the production suite. The frozen closure forms
-// in programs.go / extra.go / failures.go are the reference these data
-// programs are differentially tested against.
+// the failure-case suite, written on the declarative instruction set
+// and registered at init. TestScenarioStreamsPinned holds each
+// program's kernel event streams to the ones its original closure form
+// produced.
 
 const stageFile = "/stage/test.txt"
 
@@ -179,7 +179,10 @@ func PrivilegeEscalationScenario() Scenario {
 			{Op: "open", Path: "/stage/secret.txt", Flags: []string{"rdwr"}, SaveFD: "id"},
 			{Op: "read", FD: "id", N: 16},
 			// The escalation and the write it enables are both target
-			// activity (see SeedPrivilegeEscalation for why).
+			// activity: anything after a credential change hangs off a
+			// new task version, so leaving it in the background would
+			// break ProvMark's monotonic-containment assumption (the
+			// same limitation the paper notes for exit/kill).
 			target(Instr{Op: "setuid"}),
 			target(Instr{Op: "write", FD: "id", N: 16}),
 		},

@@ -29,7 +29,6 @@ type serverConfig struct {
 	burst     int
 	quota     int64
 	logger    *slog.Logger
-	sessions  *httpmw.SessionStore
 }
 
 // ServerOption configures NewServer.
@@ -58,13 +57,6 @@ func WithSessionQuota(n int64) ServerOption {
 // (structured, via log/slog). Nil — the default — discards them.
 func WithLogger(logger *slog.Logger) ServerOption {
 	return func(c *serverConfig) { c.logger = logger }
-}
-
-// WithSessionStore injects a pre-built session store (tests use it to
-// drive the token-bucket clock). Nil builds one from the rate/quota
-// options.
-func WithSessionStore(s *httpmw.SessionStore) ServerOption {
-	return func(c *serverConfig) { c.sessions = s }
 }
 
 // NewServer builds the HTTP surface of provmarkd over a manager:
@@ -98,14 +90,11 @@ func NewServer(m *Manager, opts ...ServerOption) (http.Handler, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	sessions := cfg.sessions
-	if sessions == nil {
-		sessions = httpmw.NewSessionStore(httpmw.SessionConfig{
-			Rate:  cfg.rate,
-			Burst: cfg.burst,
-			Quota: cfg.quota,
-		})
-	}
+	sessions := httpmw.NewSessionStore(httpmw.SessionConfig{
+		Rate:  cfg.rate,
+		Burst: cfg.burst,
+		Quota: cfg.quota,
+	})
 	metrics := httpmw.NewMetrics("provmarkd")
 	registerServiceMetrics(metrics, m, sessions)
 

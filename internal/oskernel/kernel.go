@@ -394,6 +394,3 @@ func (p *Process) FD(fd int) (*Inode, bool) {
 	}
 	return d.inode, true
 }
-
-// NumFDs reports how many descriptors the process has open.
-func (p *Process) NumFDs() int { return len(p.fds) }

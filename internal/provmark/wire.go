@@ -105,27 +105,3 @@ func ToWireCell(cell MatrixResult) *wire.MatrixResult {
 	}
 	return w
 }
-
-// FromWireCell materializes a wire matrix cell. Wire errors come back
-// as opaque error values: the error chain does not cross the wire.
-func FromWireCell(w *wire.MatrixResult) (MatrixResult, error) {
-	if w == nil {
-		return MatrixResult{}, errors.New("provmark: nil wire matrix result")
-	}
-	cell := MatrixResult{
-		Index:     w.Index,
-		Tool:      w.Tool,
-		Benchmark: w.Benchmark,
-	}
-	if w.Result != nil {
-		res, err := FromWire(w.Result)
-		if err != nil {
-			return MatrixResult{}, err
-		}
-		cell.Result = res
-	}
-	if w.Err != "" {
-		cell.Err = errors.New(w.Err)
-	}
-	return cell, nil
-}
