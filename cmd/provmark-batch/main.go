@@ -256,12 +256,12 @@ func (p *reporter) cell(cell *wire.MatrixResult) error {
 		status = res.Target.Summary()
 	}
 	if p.index != nil {
-		if err := p.index.AddWire(res); err != nil {
+		if err := p.index.Add(res); err != nil {
 			return err
 		}
 	}
 	if p.timeLog != nil {
-		if _, err := fmt.Fprintln(p.timeLog, provmark.TimingLogLineWire(res)); err != nil {
+		if _, err := fmt.Fprintln(p.timeLog, provmark.TimingLogLine(res)); err != nil {
 			return err
 		}
 	}

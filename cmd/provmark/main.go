@@ -135,6 +135,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	w := provmark.ToWire(res)
 	rt := provmark.BenchmarkOnly
 	switch *resultType {
 	case "rb":
@@ -145,12 +146,12 @@ func run(ctx context.Context, args []string) error {
 	case "rj":
 		rt = provmark.JSON
 	case "rd":
-		fmt.Print(provmark.RenderFigureDOT(res))
+		fmt.Print(provmark.RenderFigureDOT(w))
 		return nil
 	default:
 		return fmt.Errorf("unknown result type %q", *resultType)
 	}
-	fmt.Print(provmark.Render(res, rt))
+	fmt.Print(provmark.Render(w, rt))
 	if *rulesPath != "" {
 		out, err := evalRules(res, rules, goal)
 		if err != nil {

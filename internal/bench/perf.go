@@ -28,8 +28,8 @@ import (
 // PerfSchema versions the snapshot document.
 const PerfSchema = "provmark/bench-snapshot/v1"
 
-// perfID numbers the snapshot artifact (BENCH_9.json).
-const perfID = 9
+// perfID numbers the snapshot artifact (BENCH_10.json).
+const perfID = 10
 
 // PerfResult is one workload's measurement.
 type PerfResult struct {
@@ -62,12 +62,10 @@ var perfBaselines = map[string]map[string]int64{
 	"datalog/ancestry/seminaive-flat":   {"join_probes": 12000},
 	"datalog/ancestry/interned-par":     {"join_probes": 12000},
 	"datalog/ancestry/seminaive-deep":   {"join_probes": 4000},
-	"datalog/ancestry/naive-flat":       {"join_probes": 44032000},
 	"datalog/goal-ancestry/unoptimized": {"join_probes": 176003},
 	"datalog/goal-ancestry/optimized":   {"join_probes": 804},
 	"classify/similarity/asym-32x4":     {"fingerprints": 32, "solver_invocations": 0},
 	"classify/similarity/sym-32x4":      {"fingerprints": 32, "solver_invocations": 28},
-	"graph/wl-refine/legacy":            {"refinements": 100, "color_classes": 256},
 	"graph/wl-refine/interned":          {"fingerprints": 100, "distinct_fingerprints": 100},
 }
 
@@ -78,9 +76,10 @@ var perfBaselines = map[string]map[string]int64{
 var perfAllocCeilings = map[string]uint64{
 	// 100 cache-missing fingerprints measure ~360 allocations total
 	// (the fingerprint string, the cached colour slab, and first-graph
-	// workspace sizing); the legacy refinement spends ~833k on the same
-	// corpus. The budget leaves room for pool churn under GC pressure
-	// while still gating three orders of magnitude below legacy.
+	// workspace sizing); the frozen string refinement spends ~833k on
+	// the same corpus (internal/graph's TestWLRefineAllocsUnderLegacy).
+	// The budget leaves room for pool churn under GC pressure while
+	// still gating two orders of magnitude below that.
 	"graph/wl-refine/interned": 5_000,
 	// The deep chain measures ~26k allocations (dominated by loading
 	// the 2001-node graph, not by evaluation).
@@ -91,7 +90,7 @@ var perfAllocCeilings = map[string]uint64{
 func RunPerf() (*PerfSnapshot, error) {
 	snap := &PerfSnapshot{Schema: PerfSchema, ID: perfID}
 	// The WL corpus is built up front so the measured allocations of the
-	// wl-refine workloads belong to the refinements, not graph assembly.
+	// wl-refine workload belong to the refinements, not graph assembly.
 	wlGraphs := wlPerfCorpus(100, 256, 512, 9)
 	workloads := []struct {
 		name string
@@ -106,9 +105,6 @@ func RunPerf() (*PerfSnapshot, error) {
 			})
 		}},
 		{"datalog/ancestry/seminaive-deep", deepAncestryWorkload},
-		{"datalog/ancestry/naive-flat", func() (map[string]int64, error) {
-			return ancestryWorkload(400, 5, 400*15, (*datalog.Database).RunNaive)
-		}},
 		{"datalog/goal-ancestry/unoptimized", func() (map[string]int64, error) {
 			return goalAncestryWorkload(false)
 		}},
@@ -120,9 +116,6 @@ func RunPerf() (*PerfSnapshot, error) {
 		}},
 		{"classify/similarity/sym-32x4", func() (map[string]int64, error) {
 			return classifyWorkload(symPerfCorpus(32, 4, 4))
-		}},
-		{"graph/wl-refine/legacy", func() (map[string]int64, error) {
-			return wlLegacyWorkload(wlGraphs)
 		}},
 		{"graph/wl-refine/interned", func() (map[string]int64, error) {
 			return wlInternedWorkload(wlGraphs)
@@ -237,8 +230,7 @@ anc(X, Z) :- anc(X, Y), edge(_, Y, Z, _).
 }
 
 // deepAncestryWorkload evaluates single-source ancestry over one
-// 2000-edge chain — recursion the naive engine cannot finish, so it
-// runs semi-naive only.
+// 2000-edge chain.
 func deepAncestryWorkload() (map[string]int64, error) {
 	rules, err := datalog.ParseRules(`
 anc(Y) :- edge(_, "n1", Y, _).
@@ -327,7 +319,7 @@ func goalAncestryWorkload(optimize bool) (map[string]int64, error) {
 }
 
 // wlPerfCorpus builds `count` seeded random provenance-shaped graphs
-// for the WL refinement workloads. The graphs are distinct, so the
+// for the WL refinement workload. The graphs are distinct, so the
 // interned workload's fingerprints should all differ.
 func wlPerfCorpus(count, nodes, edges int, seed int64) []*graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -350,29 +342,6 @@ func wlPerfCorpus(count, nodes, edges int, seed int64) []*graph.Graph {
 		out = append(out, g)
 	}
 	return out
-}
-
-// wlLegacyWorkload refines every corpus graph once with the frozen
-// string-based WL implementation — the allocation reference the
-// interned workload is compared against.
-func wlLegacyWorkload(graphs []*graph.Graph) (map[string]int64, error) {
-	classes := map[string]struct{}{}
-	for _, g := range graphs {
-		colors := graph.WLColorsLegacy(g, graph.CanonRounds)
-		for k := range classes {
-			delete(classes, k)
-		}
-		for _, c := range colors {
-			classes[c] = struct{}{}
-		}
-	}
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("empty refinement")
-	}
-	return map[string]int64{
-		"refinements":   int64(len(graphs)),
-		"color_classes": int64(len(classes)),
-	}, nil
 }
 
 // wlInternedWorkload fingerprints every corpus graph once through the
@@ -398,7 +367,7 @@ func wlInternedWorkload(graphs []*graph.Graph) (map[string]int64, error) {
 func classifyWorkload(corpus []*graph.Graph) (map[string]int64, error) {
 	startSolves := asp.SolveInvocations()
 	startPrints := graph.FingerprintComputations()
-	classes := provmark.SimilarityClasses(corpus)
+	classes := provmark.NewClassifier().Classes(corpus)
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("empty classification")
 	}

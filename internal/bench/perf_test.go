@@ -7,9 +7,10 @@ import (
 
 // TestPerfSnapshot: the harness produces a complete snapshot whose
 // deterministic counters match the checked-in baselines exactly, and
-// the gate logic separates pass from regression. The naive-flat
-// workload costs seconds, so the full snapshot is skipped under -short
-// and the race detector (CI's non-race perf step runs it instead).
+// the gate logic separates pass from regression. The allocation
+// budgets are measured without instrumentation, so the snapshot is
+// skipped under -short and the race detector (CI's non-race perf step
+// runs it instead).
 func TestPerfSnapshot(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("perf snapshot is expensive; covered by the dedicated CI step")
@@ -62,13 +63,6 @@ func TestPerfSnapshot(t *testing.T) {
 	parProbes := byName["datalog/ancestry/interned-par"].Counters["join_probes"]
 	if seqProbes <= 0 || seqProbes != parProbes {
 		t.Errorf("ancestry probe parity: sequential %d vs parallel %d", seqProbes, parProbes)
-	}
-	// The WL rewrite's allocation claim: the interned workload must sit
-	// at least two orders of magnitude under the legacy refinement.
-	legacyAllocs := byName["graph/wl-refine/legacy"].AllocsOp
-	internedAllocs := byName["graph/wl-refine/interned"].AllocsOp
-	if internedAllocs*100 > legacyAllocs {
-		t.Errorf("wl-refine allocs: interned %d vs legacy %d — drop below 100x", internedAllocs, legacyAllocs)
 	}
 	if err := snap.Gate(0.5); err == nil {
 		t.Error("gate(0.5) passed — the gate compares nothing")

@@ -2,8 +2,8 @@ package bench
 
 // The README's "Raw speed" section carries the perf-snapshot table
 // between <!-- perf-snapshot:begin/end --> markers, rendered from the
-// checked-in BENCH_9.json (with per-workload speedups against the
-// BENCH_8.json it supersedes). This drift guard regenerates the block
+// checked-in BENCH_10.json (with per-workload speedups against the
+// BENCH_9.json it supersedes). This drift guard regenerates the block
 // from the artifacts and fails when the document and the numbers
 // disagree — after re-committing a snapshot, paste the rendered block
 // from the failure message.
@@ -49,7 +49,7 @@ func perfMarkdown(cur, prev *PerfSnapshot) string {
 		prevNs[r.Name] = r.NsOp
 	}
 	var b strings.Builder
-	b.WriteString("| workload | ns/op | allocs/op | counters | vs BENCH_8 |\n|---|---|---|---|---|\n")
+	b.WriteString("| workload | ns/op | allocs/op | counters | vs BENCH_9 |\n|---|---|---|---|---|\n")
 	for _, r := range cur.Results {
 		speedup := "new"
 		if old, ok := prevNs[r.Name]; ok && r.NsOp > 0 {
@@ -73,8 +73,8 @@ func renderNs(ns int64) string {
 }
 
 func TestReadmePerfTableMatchesSnapshot(t *testing.T) {
-	cur := loadSnapshot(t, "../../BENCH_9.json")
-	prev := loadSnapshot(t, "../../BENCH_8.json")
+	cur := loadSnapshot(t, "../../BENCH_10.json")
+	prev := loadSnapshot(t, "../../BENCH_9.json")
 	if cur.ID != perfID {
 		t.Fatalf("checked-in snapshot id = %d, harness perfID = %d", cur.ID, perfID)
 	}
@@ -92,15 +92,18 @@ func TestReadmePerfTableMatchesSnapshot(t *testing.T) {
 	got := strings.TrimSpace(doc[i+len(begin) : j])
 	want := strings.TrimSpace(perfMarkdown(cur, prev))
 	if got != want {
-		t.Errorf("README perf table drifted from BENCH_9.json.\n--- README ---\n%s\n--- snapshot ---\n%s", got, want)
+		t.Errorf("README perf table drifted from BENCH_10.json.\n--- README ---\n%s\n--- snapshot ---\n%s", got, want)
 	}
 }
 
-// TestCheckedInSnapshotHoldsTheClaims: the committed BENCH_9.json is
-// itself evidence — re-assert the headline claims (>=2x ancestry
-// speedups over BENCH_8, exact seq/par probe parity, >=100x WL
-// allocation drop) against the artifacts rather than a live run, so a
-// stale or hand-edited snapshot cannot carry claims it does not show.
+// TestCheckedInSnapshotHoldsTheClaims: the committed snapshots are
+// themselves evidence — re-assert their headline claims against the
+// artifacts rather than a live run, so a stale or hand-edited snapshot
+// cannot carry claims it does not show. BENCH_9.json claims >=2x
+// ancestry speedups over BENCH_8, exact seq/par probe parity and a
+// >=100x WL allocation drop; BENCH_10.json, which only retires the
+// naive-flat and wl-refine/legacy rows, claims the same parity, its
+// own gate, and every remaining row's counters unchanged from BENCH_9.
 func TestCheckedInSnapshotHoldsTheClaims(t *testing.T) {
 	cur := loadSnapshot(t, "../../BENCH_9.json")
 	prev := loadSnapshot(t, "../../BENCH_8.json")
@@ -128,5 +131,33 @@ func TestCheckedInSnapshotHoldsTheClaims(t *testing.T) {
 	}
 	if err := cur.Gate(2); err != nil {
 		t.Errorf("checked-in snapshot fails its own gate: %v", err)
+	}
+
+	next := loadSnapshot(t, "../../BENCH_10.json")
+	if next.Schema != PerfSchema || next.ID != perfID || len(next.Results) != len(perfBaselines) {
+		t.Errorf("BENCH_10.json header = %q id %d with %d results, want %q id %d with %d",
+			next.Schema, next.ID, len(next.Results), PerfSchema, perfID, len(perfBaselines))
+	}
+	for _, r := range next.Results {
+		old, ok := curBy[r.Name]
+		if !ok {
+			t.Errorf("BENCH_10.json row %s is not in BENCH_9.json", r.Name)
+			continue
+		}
+		if got, want := renderCounters(r.Counters), renderCounters(old.Counters); got != want {
+			t.Errorf("%s: BENCH_10 counters %s, BENCH_9 %s", r.Name, got, want)
+		}
+	}
+	nextBy := map[string]PerfResult{}
+	for _, r := range next.Results {
+		nextBy[r.Name] = r
+	}
+	seq = nextBy["datalog/ancestry/seminaive-flat"].Counters["join_probes"]
+	par = nextBy["datalog/ancestry/interned-par"].Counters["join_probes"]
+	if seq <= 0 || seq != par {
+		t.Errorf("BENCH_10 probe parity: sequential %d vs parallel %d", seq, par)
+	}
+	if err := next.Gate(2); err != nil {
+		t.Errorf("BENCH_10.json fails its own gate: %v", err)
 	}
 }

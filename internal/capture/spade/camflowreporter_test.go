@@ -1,6 +1,7 @@
 package spade
 
 import (
+	"context"
 	"testing"
 
 	"provmark/internal/benchprog"
@@ -19,7 +20,7 @@ func runPipeline(t *testing.T, cfg Config, benchName string) *provmark.Result {
 	if !ok {
 		t.Fatalf("unknown benchmark %s", benchName)
 	}
-	res, err := provmark.New(New(cfg)).Run(prog)
+	res, err := provmark.New(New(cfg)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestCamFlowReporterInheritsLSMGaps(t *testing.T) {
 // denied checks, so the failed-call blindness carries over.
 func TestCamFlowReporterStillBlindToDenied(t *testing.T) {
 	prog := benchprog.FailedRename()
-	res, err := provmark.New(New(camflowReporterConfig())).Run(prog)
+	res, err := provmark.New(New(camflowReporterConfig())).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,8 @@ package datalog
 // Both reject with a *Violation naming the rule and atom at fault;
 // Violations lists them all for the static analyzer (package analyze).
 // Run (interned.go) evaluates each stratum semi-naively over interned
-// columns; RunNaive (naive.go) is the frozen differential oracle.
+// columns; the frozen naive oracle the differential tests compare it
+// against lives in naive_test.go.
 //
 // Every candidate fact an evaluation examines — an index bucket entry
 // or a full-scan element — counts one JoinProbe, which is how the
@@ -31,8 +32,8 @@ import (
 // EvalStats counts the work an evaluation performed.
 type EvalStats struct {
 	// JoinProbes is the number of candidate facts examined while
-	// joining body atoms (and checking negations) across Run, RunNaive
-	// and Query calls on this database.
+	// joining body atoms (and checking negations) across Run and Query
+	// calls on this database.
 	JoinProbes int64
 	// Derived is the number of new facts asserted by rule evaluation.
 	Derived int64
@@ -72,8 +73,7 @@ const (
 )
 
 // Violation is a static rejection of a rule program: an unsafe rule or
-// recursion through negation. Run and RunNaive return the first one as
-// their error.
+// recursion through negation. Run returns the first one as its error.
 type Violation struct {
 	Kind ViolationKind
 	// Rule indexes the rule slice the program was checked as.

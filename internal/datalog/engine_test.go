@@ -241,7 +241,7 @@ func TestAncestryProbeReduction(t *testing.T) {
 func dumpFacts(db *Database) string {
 	var lines []string
 	for _, pred := range db.Predicates() {
-		for _, f := range db.stringFacts(pred) {
+		for _, f := range db.Facts(pred) {
 			lines = append(lines, f.String())
 		}
 	}

@@ -160,12 +160,11 @@ type iWorkspace struct {
 	key       []byte
 }
 
-// Run evaluates the rules with the interned columnar engine, using the
-// parallelism configured by SetParallelism (by default
-// min(GOMAXPROCS, 8) workers). Counters and fact order are identical
-// at every worker width.
+// Run evaluates the rules with the interned columnar engine on
+// min(GOMAXPROCS, 8) workers. Counters and fact order are identical at
+// every worker width.
 func (db *Database) Run(rules []Rule) error {
-	return db.RunParallel(rules, db.workers)
+	return db.RunParallel(rules, 0)
 }
 
 // RunParallel is Run with an explicit worker-pool width for the

@@ -94,9 +94,9 @@ func TestParallelDerivationOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestSetParallelismWidths: the SetParallelism knob drives Run itself,
-// and concurrent Query traffic after a parallel Run sees a consistent
-// database.
+// TestSetParallelismWidths: Run (the automatic width) and RunParallel
+// at explicit widths derive the same facts, and Query after a parallel
+// run sees a consistent database.
 func TestSetParallelismWidths(t *testing.T) {
 	rules, err := ParseRules(hammerProgram)
 	if err != nil {
@@ -107,8 +107,11 @@ func TestSetParallelismWidths(t *testing.T) {
 	for _, width := range []int{0, 1, 2, 8} {
 		db := NewDatabase()
 		db.LoadGraph(g)
-		db.SetParallelism(width)
-		if err := db.Run(rules); err != nil {
+		run := db.Run
+		if width > 0 {
+			run = func(rules []Rule) error { return db.RunParallel(rules, width) }
+		}
+		if err := run(rules); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		got := dumpFacts(db)

@@ -135,8 +135,6 @@ type relation struct {
 	// table of row indices whose keys ARE the column values
 	// (compare-on-probe), grown at 3/4 load.
 	htab []int32
-	// strFacts lazily mirrors the columns as Fact values.
-	strFacts []Fact
 	// listed records whether the predicate has entered db.preds — it
 	// does on the first stored row, not on relation creation, so
 	// pre-created head relations that never derive stay invisible.
@@ -150,16 +148,14 @@ type relation struct {
 // per predicate, plus the bound-position join indexes the engines
 // probe.
 type Database struct {
-	syms  []string          // id -> constant
-	symID map[string]uint32 // constant -> id
-	rels  map[string]*relation
-	preds []string // predicates in first-assert order
-	stats EvalStats
-	// workers is the Run worker-pool width; 0 selects automatically.
-	workers int
-	keyBuf  []byte      // scratch for packed index keys
-	tupBuf  []uint32    // scratch for interned tuples
-	ws      *iWorkspace // sequential evaluation scratch, reused across runs
+	syms   []string          // id -> constant
+	symID  map[string]uint32 // constant -> id
+	rels   map[string]*relation
+	preds  []string // predicates in first-assert order
+	stats  EvalStats
+	keyBuf []byte      // scratch for packed index keys
+	tupBuf []uint32    // scratch for interned tuples
+	ws     *iWorkspace // sequential evaluation scratch, reused across runs
 }
 
 // NewDatabase creates an empty fact database.
@@ -314,30 +310,6 @@ func (rel *relation) grow() {
 	}
 }
 
-// strings materializes (and caches) the relation's facts as string
-// tuples.
-func (rel *relation) strings(db *Database) []Fact {
-	for r := len(rel.strFacts); r < rel.rows; r++ {
-		args := make([]string, rel.arity)
-		for i := range args {
-			args[i] = db.syms[rel.cols[i][r]]
-		}
-		rel.strFacts = append(rel.strFacts, Fact{Pred: rel.pred, Args: args})
-	}
-	return rel.strFacts
-}
-
-// stringFacts returns a predicate's facts as string tuples in
-// assertion order — the naive oracle's view. The returned slice is the
-// cache; callers must not mutate it.
-func (db *Database) stringFacts(pred string) []Fact {
-	rel := db.rels[pred]
-	if rel == nil {
-		return nil
-	}
-	return rel.strings(db)
-}
-
 // Facts returns the tuples of a predicate in assertion order. The
 // result is the caller's own: its Args share one fresh backing slice,
 // never the database's storage.
@@ -374,13 +346,6 @@ func (db *Database) NumFacts(pred string) int {
 	return rel.rows
 }
 
-// SetParallelism fixes the worker-pool width Run uses for per-stratum
-// delta joins: 1 forces sequential evaluation, 0 (the default) picks
-// min(GOMAXPROCS, 8). Counters and derived-fact order are identical
-// at every width — parallel rounds merge per-worker buffers in a
-// deterministic task order at each round barrier.
-func (db *Database) SetParallelism(n int) { db.workers = n }
-
 // LoadGraph asserts a property graph as base facts under the standard
 // predicates node/2 (id, label), edge/4 (id, src, tgt, label) and
 // prop/3 (elem, key, value).
@@ -397,69 +362,6 @@ func (db *Database) LoadGraph(g *graph.Graph) {
 			db.Assert(Fact{Pred: "prop", Args: []string{string(e.ID), k, e.Props[k]}})
 		}
 	}
-}
-
-// binding maps variable names to values.
-type binding map[string]string
-
-func (b binding) clone() binding {
-	out := make(binding, len(b)+1)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// unify extends a binding by matching an atom's terms against a fact.
-func unify(a Atom, f Fact, b binding) (binding, bool) {
-	if a.Pred != f.Pred || len(a.Terms) != len(f.Args) {
-		return nil, false
-	}
-	out := b
-	copied := false
-	for i, t := range a.Terms {
-		val := f.Args[i]
-		switch {
-		case t.Wild:
-		case t.Var == "":
-			if t.Const != val {
-				return nil, false
-			}
-		default:
-			if bound, ok := out[t.Var]; ok {
-				if bound != val {
-					return nil, false
-				}
-			} else {
-				if !copied {
-					out = out.clone()
-					copied = true
-				}
-				out[t.Var] = val
-			}
-		}
-	}
-	return out, true
-}
-
-// substitute instantiates the head atom under a binding.
-func substitute(head Atom, b binding) (Fact, error) {
-	args := make([]string, len(head.Terms))
-	for i, t := range head.Terms {
-		switch {
-		case t.Wild:
-			return Fact{}, fmt.Errorf("datalog: wildcard in rule head %s", head)
-		case t.Var != "":
-			v, ok := b[t.Var]
-			if !ok {
-				return Fact{}, fmt.Errorf("datalog: unbound head variable %s in %s", t.Var, head)
-			}
-			args[i] = v
-		default:
-			args[i] = t.Const
-		}
-	}
-	return Fact{Pred: head.Pred, Args: args}, nil
 }
 
 // Query evaluates a single goal atom against the database and returns

@@ -272,12 +272,6 @@ func (g *Graph) OutEdges(id ElemID) []*Edge {
 	return out
 }
 
-// Degree returns in-degree plus out-degree of a node (self-loops count
-// twice).
-func (g *Graph) Degree(id ElemID) int {
-	return len(g.inAdj[id]) + len(g.outAdj[id])
-}
-
 // RemoveEdge deletes an edge. It is a no-op for unknown ids.
 func (g *Graph) RemoveEdge(id ElemID) {
 	e := g.edges[id]

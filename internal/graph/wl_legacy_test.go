@@ -11,10 +11,9 @@ import (
 // when wl.go replaced it on the production path. Each round renders
 // every incident edge as "label<colour"/"label>colour", sorts the
 // strings, concatenates and sha256-hashes per node — allocation-heavy,
-// but simple enough to audit by eye. It is kept as the reference the
-// partition-equivalence test and the wl-refine benchmarks compare the
-// integer refinement against; do not use it outside tests and
-// benchmarks.
+// but simple enough to audit by eye. It is kept as the reference that
+// the partition-equivalence test, the allocation test and
+// BenchmarkWLColors compare the integer refinement against.
 func wlColorsLegacy(g *Graph, rounds int) map[ElemID]string {
 	colors := make(map[ElemID]string, g.NumNodes())
 	for _, n := range g.Nodes() {
@@ -42,11 +41,4 @@ func wlColorsLegacy(g *Graph, rounds int) map[ElemID]string {
 		colors = next
 	}
 	return colors
-}
-
-// WLColorsLegacy exposes the frozen string-based refinement so
-// benchmarks and differential tests outside this package can compare
-// it against the integer engine.
-func WLColorsLegacy(g *Graph, rounds int) map[ElemID]string {
-	return wlColorsLegacy(g, rounds)
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -40,6 +41,67 @@ func TestWLPartitionEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWLRefineAllocsUnderLegacy is the interned refinement's allocation
+// claim: on the seeded corpus of the perf snapshot's wl-refine workload
+// (100 provenance-shaped graphs of 256 nodes and 512 edges), cold
+// fingerprints through the pooled integer engine must allocate at least
+// two orders of magnitude less than the frozen string refinement does
+// over the same graphs.
+func TestWLRefineAllocsUnderLegacy(t *testing.T) {
+	mallocs := func(work func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		work()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	corpus := wlAllocCorpus(100, 256, 512, 9)
+	var sink int
+	legacy := mallocs(func() {
+		for _, g := range corpus {
+			sink += len(wlColorsLegacy(g, CanonRounds))
+		}
+	})
+	interned := mallocs(func() {
+		for _, g := range corpus {
+			sink += len(ShapeFingerprint(g))
+		}
+	})
+	if sink == 0 {
+		t.Fatal("empty refinement")
+	}
+	t.Logf("wl-refine allocs: interned %d, legacy %d", interned, legacy)
+	if interned*100 > legacy {
+		t.Errorf("wl-refine allocs: interned %d vs legacy %d — drop below 100x", interned, legacy)
+	}
+}
+
+// wlAllocCorpus builds `count` seeded random provenance-shaped graphs —
+// the corpus internal/bench's wl-refine perf workload fingerprints.
+func wlAllocCorpus(count, nodes, edges int, seed int64) []*Graph {
+	rng := rand.New(rand.NewSource(seed))
+	labels := []string{"Process", "File", "Socket", "Pipe", "User", "Registry"}
+	edgeLabels := []string{"Used", "WasGeneratedBy", "WasInformedBy", "WasAssociatedWith"}
+	out := make([]*Graph, 0, count)
+	for c := 0; c < count; c++ {
+		g := New()
+		ids := make([]ElemID, 0, nodes)
+		for n := 0; n < nodes; n++ {
+			ids = append(ids, g.AddNode(labels[rng.Intn(len(labels))], nil))
+		}
+		for e := 0; e < edges; e++ {
+			src := ids[rng.Intn(len(ids))]
+			tgt := ids[rng.Intn(len(ids))]
+			if _, err := g.AddEdge(src, tgt, edgeLabels[rng.Intn(len(edgeLabels))], nil); err != nil {
+				panic(err) // cannot happen: both endpoints exist
+			}
+		}
+		out = append(out, g)
+	}
+	return out
 }
 
 // TestWLColorsProcessStable: colours are pure arithmetic over labels

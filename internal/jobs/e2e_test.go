@@ -145,11 +145,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := provmark.FromWire(cell.Result)
-		if err != nil {
-			t.Fatalf("streamed result does not materialize: %v", err)
-		}
-		if got, want := provmark.Render(res, provmark.JSON), string(enc)+"\n"; got != want {
+		if got, want := provmark.Render(cell.Result, provmark.JSON), string(enc)+"\n"; got != want {
 			t.Errorf("Render(JSON) diverges from streamed wire bytes for %s:\n%s\nvs\n%s", cell.Benchmark, got, want)
 		}
 

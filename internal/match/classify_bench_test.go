@@ -1,10 +1,10 @@
-package provmark_test
+package match_test
 
 // Micro-benchmarks for the similarity classification engine, reporting
 // ASP solver invocations per classification alongside wall-clock time
 // so the speedup over the seed linear scan is directly measurable:
 //
-//	go test ./internal/provmark -bench SimilarityClasses -benchtime 10x
+//	go test ./internal/match -bench SimilarityClasses -benchtime 10x
 //
 // "engine" is the fingerprint-bucketing classifier; "seed" replicates
 // the pre-engine decision pattern (linear scan, every fingerprint
@@ -96,7 +96,7 @@ func BenchmarkSimilarityClasses(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name+"/engine", func(b *testing.B) {
-			benchClassify(b, tc.corpus(b), provmark.SimilarityClasses)
+			benchClassify(b, tc.corpus(b), provmark.NewClassifier().Classes)
 		})
 		b.Run(tc.name+"/seed", func(b *testing.B) {
 			benchClassify(b, tc.corpus(b), seedSimilarityClasses)

@@ -67,3 +67,9 @@ func similarForced(g1, g2 *graph.Graph) (m Mapping, ok, decided bool) {
 	}
 	return m, true, true
 }
+
+// edgeKey identifies an edge by its endpoints and label.
+type edgeKey struct {
+	src, tgt graph.ElemID
+	label    string
+}

@@ -22,9 +22,10 @@
 // The confirmer is the forced-mapping verifier when the WL refinement
 // is discrete on both graphs (the colour-respecting candidate mapping
 // is unique, so an O(V+E) verification decides the pair without any
-// search), and otherwise the ASP solver. SimilarASP and SimilarDirect
-// are confirmation engines that bypass the fingerprint filter entirely;
-// the differential test harness asserts all decision paths agree.
+// search), and otherwise the ASP solver. The differential tests check
+// every decision against two frozen oracles that bypass the
+// fingerprint filter entirely (oracle_test.go): the pure-ASP path and a
+// VF2-style backtracker.
 package match
 
 import (
@@ -78,17 +79,6 @@ func Similar(g1, g2 *graph.Graph) (Mapping, bool) {
 	}
 	if m, ok, decided := similarForced(g1, g2); decided {
 		return m, ok
-	}
-	return solveIso(g1, g2)
-}
-
-// SimilarASP decides similarity purely through the ASP solver (after
-// the trivially sound count/label prechecks). It never consults shape
-// fingerprints, making it an independent oracle for the differential
-// harness and the faithful reproduction of the paper's clingo path.
-func SimilarASP(g1, g2 *graph.Graph) (Mapping, bool) {
-	if !sameShape(g1, g2) {
-		return nil, false
 	}
 	return solveIso(g1, g2)
 }

@@ -6,6 +6,21 @@ import (
 	"provmark/internal/graph"
 )
 
+// The frozen similarity oracles. They are exported so the external
+// test package (the four-path differential, the seed classification
+// scan and the matcher ablation benchmarks) can reach them.
+
+// SimilarASP decides similarity purely through the ASP solver (after
+// the trivially sound count/label prechecks). It never consults shape
+// fingerprints, making it an independent oracle for the differential
+// harness and the faithful reproduction of the paper's clingo path.
+func SimilarASP(g1, g2 *graph.Graph) (Mapping, bool) {
+	if !sameShape(g1, g2) {
+		return nil, false
+	}
+	return solveIso(g1, g2)
+}
+
 // SimilarDirect is a hand-rolled VF2-style backtracking similarity check
 // used as an ablation baseline and as an independent oracle for the
 // ASP-encoded path: tests assert both engines agree on every pipeline
@@ -117,11 +132,6 @@ func SimilarDirect(g1, g2 *graph.Graph) (Mapping, bool) {
 	return assign, true
 }
 
-type edgeKey struct {
-	src, tgt graph.ElemID
-	label    string
-}
-
 func buildEdgeIndex(g *graph.Graph) map[edgeKey]int {
 	idx := make(map[edgeKey]int, g.NumEdges())
 	for _, e := range g.Edges() {
@@ -131,8 +141,7 @@ func buildEdgeIndex(g *graph.Graph) map[edgeKey]int {
 }
 
 // VerifyMapping checks that m is a valid label/endpoint-preserving
-// injective mapping from g1 into g2 covering every element of g1. Used
-// by property-based tests.
+// injective mapping from g1 into g2 covering every element of g1.
 func VerifyMapping(g1, g2 *graph.Graph, m Mapping) bool {
 	seen := make(map[graph.ElemID]bool, len(m))
 	for _, n := range g1.Nodes() {

@@ -1,18 +1,17 @@
 // Package neo4jsim is an in-memory stand-in for the Neo4j graph
 // database OPUS stores provenance in. It supports the operations the
 // OPUS pipeline needs — creating labelled nodes and relationships with
-// properties, and bulk extraction queries — and deliberately models the
-// costs the paper attributes to OPUS's storage layer: a one-time
-// warm-up on first query (JVM start-up plus store initialization) and
-// per-row extraction work. Figures 6 and 9 are dominated by exactly
-// these costs.
+// properties, updating node properties, and bulk extraction — and
+// deliberately models the costs the paper attributes to OPUS's storage
+// layer: a one-time warm-up on the first extraction (JVM start-up plus
+// store initialization) and per-row extraction work. Figures 6 and 9
+// are dominated by exactly these costs.
 package neo4jsim
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"provmark/internal/graph"
 )
@@ -92,9 +91,6 @@ func (db *DB) validNode(id NodeID) bool {
 // NumNodes reports the stored node count.
 func (db *DB) NumNodes() int { return len(db.nodes) }
 
-// NumRels reports the stored relationship count.
-func (db *DB) NumRels() int { return len(db.rels) }
-
 // warmup performs the one-time start-up cost: checksumming simulated
 // store pages. The sink prevents the work from being optimized away.
 func (db *DB) warmup() {
@@ -120,20 +116,6 @@ func (db *DB) rowWork(seed uint64) {
 	db.workSink ^= binary.LittleEndian.Uint64(buf[:8])
 }
 
-// MatchNodes returns the ids of all nodes with the given label, in id
-// order. It triggers warm-up.
-func (db *DB) MatchNodes(label string) []NodeID {
-	db.warmup()
-	var out []NodeID
-	for _, n := range db.nodes {
-		db.rowWork(uint64(n.id))
-		if n.label == label {
-			out = append(out, n.id)
-		}
-	}
-	return out
-}
-
 // SetNodeProps merges properties into an existing node (Neo4j's SET
 // clause). Unknown ids return false.
 func (db *DB) SetNodeProps(id NodeID, props map[string]string) bool {
@@ -148,14 +130,6 @@ func (db *DB) SetNodeProps(id NodeID, props map[string]string) bool {
 		n.props[k] = v
 	}
 	return true
-}
-
-// NodeProps returns a copy of a node's properties.
-func (db *DB) NodeProps(id NodeID) (map[string]string, bool) {
-	if !db.validNode(id) {
-		return nil, false
-	}
-	return cloneMap(db.nodes[id-1].props), true
 }
 
 // Export extracts the full database as a property graph (the
@@ -196,32 +170,6 @@ func (db *DB) Export() (*graph.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// PropertyHistogram counts property keys across all nodes, a helper the
-// configuration-validation example uses to inspect stored data.
-func (db *DB) PropertyHistogram() map[string]int {
-	out := map[string]int{}
-	for _, n := range db.nodes {
-		for k := range n.props {
-			out[k]++
-		}
-	}
-	return out
-}
-
-// Labels returns the distinct node labels, sorted.
-func (db *DB) Labels() []string {
-	seen := map[string]bool{}
-	for _, n := range db.nodes {
-		seen[n.label] = true
-	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func cloneMap(m map[string]string) map[string]string {

@@ -178,10 +178,3 @@ func (t *TapBuffer) Libc(e LibcEvent) { t.LibcEvents = append(t.LibcEvents, e) }
 
 // LSM implements Tracer.
 func (t *TapBuffer) LSM(e LSMEvent) { t.LSMEvents = append(t.LSMEvents, e) }
-
-// Reset clears all buffered events.
-func (t *TapBuffer) Reset() {
-	t.AuditEvents = t.AuditEvents[:0]
-	t.LibcEvents = t.LibcEvents[:0]
-	t.LSMEvents = t.LSMEvents[:0]
-}

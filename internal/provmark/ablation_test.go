@@ -1,6 +1,7 @@
 package provmark_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +25,7 @@ func jitteryCamflow() *camflow.Recorder {
 // choice) produces a clean benchmark.
 func TestPairSelectionDefaultSucceeds(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
-	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6)).Run(prog)
+	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestPairSelectionDefaultSucceeds(t *testing.T) {
 func TestPairSelectionLargestBothSucceeds(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
 	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6),
-		provmark.WithPairExtremes(provmark.Largest, provmark.Largest)).Run(prog)
+		provmark.WithPairExtremes(provmark.Largest, provmark.Largest)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPairSelectionLargestBothSucceeds(t *testing.T) {
 func TestPairSelectionMaxBgMinFgFails(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
 	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6),
-		provmark.WithPairExtremes(provmark.Largest, provmark.Smallest)).Run(prog)
+		provmark.WithPairExtremes(provmark.Largest, provmark.Smallest)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPairSelectionMaxBgMinFgFails(t *testing.T) {
 func TestPairSelectionMinBgMaxFgLeaksStructure(t *testing.T) {
 	prog, _ := benchprog.ByName("open")
 	res, err := provmark.New(jitteryCamflow(), provmark.WithTrials(6),
-		provmark.WithPairExtremes(provmark.Smallest, provmark.Largest)).Run(prog)
+		provmark.WithPairExtremes(provmark.Smallest, provmark.Largest)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestFilterGraphsDropsCorruptTrials(t *testing.T) {
 	cfg.CorruptPeriod = 2
 	cfg.FilterGraphs = true
 	prog, _ := benchprog.ByName("rename")
-	res, err := provmark.New(camflow.New(cfg), provmark.WithTrials(6)).Run(prog)
+	res, err := provmark.New(camflow.New(cfg), provmark.WithTrials(6)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestFilterGraphsDropsCorruptTrials(t *testing.T) {
 	// Filtering off: the corrupt class (smaller: it lost a node) wins
 	// smallest-pair selection, demonstrating why filtering exists.
 	res2, err := provmark.New(camflow.New(cfg), provmark.WithTrials(6),
-		provmark.WithFilterGraphs(false)).Run(prog)
+		provmark.WithFilterGraphs(false)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestAllTrialsCorruptFails(t *testing.T) {
 	cfg.JitterPeriod = 0
 	cfg.CorruptPeriod = 1 // every trial
 	prog, _ := benchprog.ByName("open")
-	_, err := provmark.New(camflow.New(cfg), provmark.WithTrials(3)).Run(prog)
+	_, err := provmark.New(camflow.New(cfg), provmark.WithTrials(3)).RunContext(context.Background(), prog)
 	if !errors.Is(err, provmark.ErrInconsistentTrials) {
 		t.Errorf("want ErrInconsistentTrials, got %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Classifier is the fingerprint-indexed similarity classification
-// engine behind SimilarityClasses. Instead of testing every trial
+// engine of the generalization stage. Instead of testing every trial
 // against every class representative with the full matcher, it hashes
 // trials into buckets by their memoized shape fingerprint and runs the
 // confirming matcher only on within-bucket collisions (fingerprint

@@ -1,14 +1,11 @@
 package provmark_test
 
-// Differential test harness for the similarity classification engine:
-// a randomized corpus of seeded permutations and label/edge mutations,
-// asserting that every decision path — the production match.Similar,
-// the pure-ASP oracle match.SimilarASP, the VF2-style backtracker
-// match.SimilarDirect, and fingerprint bucketing through the
-// classifier — reaches the same verdict on every pair. Plus the
-// instrumented acceptance tests: trial graphs fingerprint at most once
-// per pipeline run, and the engine spends at least 3x fewer ASP solver
-// invocations than the seed linear scan on a 32-trial corpus.
+// Tests of the similarity classification engine: permuted families land
+// in one class each, trial graphs fingerprint at most once per pipeline
+// run, classification keeps no state and no graphs, and symmetric
+// shapes fall back to the solver. The four-path differential against
+// the frozen matcher oracles and the solver-invocation reduction test
+// live in internal/match, beside the oracles.
 
 import (
 	"context"
@@ -24,7 +21,6 @@ import (
 	"provmark/internal/asp"
 	"provmark/internal/benchprog"
 	"provmark/internal/graph"
-	"provmark/internal/match"
 	"provmark/internal/provmark"
 )
 
@@ -111,108 +107,6 @@ func labelMutatedCopy(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph
 	return out
 }
 
-// rewiredCopy re-targets one edge at random. The result may or may not
-// stay isomorphic (symmetries can absorb the rewire), so callers assert
-// only that all engines agree on the verdict.
-func rewiredCopy(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
-	t.Helper()
-	out := graph.New()
-	nodes := g.Nodes()
-	for _, n := range nodes {
-		if err := out.InsertNode(n.ID, n.Label, n.Props); err != nil {
-			t.Fatal(err)
-		}
-	}
-	edges := g.Edges()
-	k := rng.Intn(len(edges))
-	for i, e := range edges {
-		tgt := e.Tgt
-		if i == k {
-			tgt = nodes[rng.Intn(len(nodes))].ID
-		}
-		if err := out.InsertEdge(e.ID, e.Src, tgt, e.Label, e.Props); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
-// engineVerdicts runs one pair through all four decision paths.
-func engineVerdicts(t *testing.T, a, b *graph.Graph) map[string]bool {
-	t.Helper()
-	verdicts := make(map[string]bool, 4)
-
-	m, ok := match.Similar(a, b)
-	if ok && !match.VerifyMapping(a, b, m) {
-		t.Fatalf("Similar returned an invalid witness mapping")
-	}
-	verdicts["similar"] = ok
-
-	m, ok = match.SimilarASP(a, b)
-	if ok && !match.VerifyMapping(a, b, m) {
-		t.Fatalf("SimilarASP returned an invalid witness mapping")
-	}
-	verdicts["asp"] = ok
-
-	m, ok = match.SimilarDirect(a, b)
-	if ok && !match.VerifyMapping(a, b, m) {
-		t.Fatalf("SimilarDirect returned an invalid witness mapping")
-	}
-	verdicts["direct"] = ok
-
-	classes := provmark.SimilarityClasses([]*graph.Graph{a, b})
-	verdicts["bucketing"] = len(classes) == 1
-
-	return verdicts
-}
-
-func assertVerdicts(t *testing.T, a, b *graph.Graph, want bool, kind string) {
-	t.Helper()
-	for engine, got := range engineVerdicts(t, a, b) {
-		if got != want {
-			t.Errorf("%s pair: engine %s said %v, want %v\nG1:\n%s\nG2:\n%s",
-				kind, engine, got, want, a, b)
-		}
-	}
-}
-
-func assertVerdictsAgree(t *testing.T, a, b *graph.Graph, kind string) {
-	t.Helper()
-	verdicts := engineVerdicts(t, a, b)
-	ref, refEngine := verdicts["asp"], "asp"
-	for engine, got := range verdicts {
-		if got != ref {
-			t.Errorf("%s pair: engine %s said %v but %s said %v\nG1:\n%s\nG2:\n%s",
-				kind, engine, got, refEngine, ref, a, b)
-		}
-	}
-}
-
-// TestDifferentialSimilarityEngines is the randomized differential
-// harness: 70 seeded base graphs x 3 pair kinds = 210 pairs, each
-// decided by all four paths.
-func TestDifferentialSimilarityEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pairs := 0
-	for i := 0; i < 70; i++ {
-		base := randomBase(t, rng)
-		perm := permutedCopy(t, base, rng, fmt.Sprintf("perm%d", i))
-		assertVerdicts(t, base, perm, true, "permuted")
-		pairs++
-
-		mut := labelMutatedCopy(t, base, rng)
-		assertVerdicts(t, base, mut, false, "label-mutated")
-		pairs++
-
-		rew := rewiredCopy(t, base, rng)
-		assertVerdictsAgree(t, base, rew, "rewired")
-		pairs++
-	}
-	if pairs < 200 {
-		t.Fatalf("differential corpus covered %d pairs, want >= 200", pairs)
-	}
-}
-
 // TestDifferentialCorpusClassification throws permuted families into
 // one classification call: permuted copies must land in one class per
 // family, label mutants in classes of their own.
@@ -229,7 +123,7 @@ func TestDifferentialCorpusClassification(t *testing.T) {
 		wantClassOf[len(trials)] = fmt.Sprintf("fam%d-mutant", fam)
 		trials = append(trials, labelMutatedCopy(t, base, rng))
 	}
-	classes := provmark.SimilarityClasses(trials)
+	classes := provmark.NewClassifier().Classes(trials)
 	for _, class := range classes {
 		for _, i := range class[1:] {
 			if wantClassOf[i] != wantClassOf[class[0]] {
@@ -278,60 +172,6 @@ func classCorpus(t testing.TB, seed int64) []*graph.Graph {
 	}
 	rng.Shuffle(len(trials), func(i, j int) { trials[i], trials[j] = trials[j], trials[i] })
 	return trials
-}
-
-// seedSimilarityClasses replicates the seed implementation's decision
-// pattern: a linear scan over class representatives where every
-// fingerprint-passing candidate pair goes to the ASP solver.
-func seedSimilarityClasses(trials []*graph.Graph) [][]int {
-	var classes [][]int
-	for i, g := range trials {
-		placed := false
-		for ci, c := range classes {
-			rep := trials[c[0]]
-			if graph.ShapeFingerprint(rep) != graph.ShapeFingerprint(g) {
-				continue
-			}
-			if _, ok := match.SimilarASP(rep, g); ok {
-				classes[ci] = append(classes[ci], i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			classes = append(classes, []int{i})
-		}
-	}
-	return classes
-}
-
-// TestClassifierSolverInvocationReduction is the acceptance criterion:
-// on a 32-trial corpus with 4 similarity classes the engine must invoke
-// the ASP solver at least 3x less often than the seed path.
-func TestClassifierSolverInvocationReduction(t *testing.T) {
-	trials := classCorpus(t, 11)
-
-	engineStart := asp.SolveInvocations()
-	engineClasses := provmark.SimilarityClasses(trials)
-	engineSolves := asp.SolveInvocations() - engineStart
-
-	seedStart := asp.SolveInvocations()
-	seedClasses := seedSimilarityClasses(trials)
-	seedSolves := asp.SolveInvocations() - seedStart
-
-	if !reflect.DeepEqual(engineClasses, seedClasses) {
-		t.Fatalf("engine and seed disagree:\nengine: %v\nseed:   %v", engineClasses, seedClasses)
-	}
-	if len(engineClasses) < 4 {
-		t.Fatalf("corpus produced %d classes, want >= 4", len(engineClasses))
-	}
-	// The seed confirms every joining member through the solver (32
-	// trials - 4 class openers = 28 solves); the asymmetric corpus lets
-	// the engine confirm every pair through the forced-mapping verifier.
-	if seedSolves < 3*engineSolves || seedSolves == 0 {
-		t.Errorf("engine used %d ASP solves vs seed %d; want >= 3x reduction",
-			engineSolves, seedSolves)
-	}
 }
 
 // TestTrialGraphsFingerprintedOncePerRun is the memoization acceptance
@@ -438,7 +278,7 @@ func TestClassifierSymmetricFallsBackToSolver(t *testing.T) {
 	s3 := star(2, 2) // same counts and labels, different orientation
 
 	before := asp.SolveInvocations()
-	classes := provmark.SimilarityClasses([]*graph.Graph{s1, s2, s3})
+	classes := provmark.NewClassifier().Classes([]*graph.Graph{s1, s2, s3})
 	delta := asp.SolveInvocations() - before
 
 	if len(classes) != 2 {

@@ -13,13 +13,7 @@ import (
 // (dummy) ovals for pre-existing graph parts retained by the
 // comparison stage. The output is self-contained Graphviz DOT suitable
 // for dot -Tsvg.
-func RenderFigureDOT(res *Result) string {
-	return RenderFigureDOTWire(ToWire(res))
-}
-
-// RenderFigureDOTWire is RenderFigureDOT for a result already in wire
-// form (e.g. a decoded provmarkd stream cell).
-func RenderFigureDOTWire(w *wire.Result) string {
+func RenderFigureDOT(w *wire.Result) string {
 	var b strings.Builder
 	name := sanitize(w.Tool + "_" + w.Benchmark)
 	fmt.Fprintf(&b, "digraph %s {\n", name)
@@ -100,12 +94,7 @@ func sanitize(s string) string {
 // per-subsystem durations in seconds as floating-point numbers, comma
 // separated. (Classification is a sub-stage of generalization and is
 // already contained in the third figure.)
-func TimingLogLine(res *Result) string {
-	return TimingLogLineWire(ToWire(res))
-}
-
-// TimingLogLineWire is TimingLogLine for a result in wire form.
-func TimingLogLineWire(w *wire.Result) string {
+func TimingLogLine(w *wire.Result) string {
 	t := w.Times
 	const nsPerSec = 1e9
 	return fmt.Sprintf("%s,%s,%.6f,%.6f,%.6f,%.6f",

@@ -23,7 +23,7 @@ func figureFixture() *Result {
 }
 
 func TestRenderFigureDOTStyling(t *testing.T) {
-	out := RenderFigureDOT(figureFixture())
+	out := RenderFigureDOT(ToWire(figureFixture()))
 	for _, want := range []string{
 		"digraph spade_open",
 		`shape="box" fillcolor="lightblue"`,       // process
@@ -40,7 +40,7 @@ func TestRenderFigureDOTStyling(t *testing.T) {
 
 func TestRenderFigureDOTEmpty(t *testing.T) {
 	res := &Result{Benchmark: "dup", Tool: "spade", Empty: true, Reason: ReasonNoNewStructure}
-	out := RenderFigureDOT(res)
+	out := RenderFigureDOT(ToWire(res))
 	if !strings.Contains(out, "empty:") {
 		t.Errorf("empty figure:\n%s", out)
 	}
@@ -54,7 +54,7 @@ func TestTimingLogLineFormat(t *testing.T) {
 		Generalization: 30 * time.Millisecond,
 		Comparison:     4 * time.Millisecond,
 	}
-	line := TimingLogLine(res)
+	line := TimingLogLine(ToWire(res))
 	if line != "spade,open,1.500000,0.250000,0.030000,0.004000" {
 		t.Errorf("line = %q", line)
 	}

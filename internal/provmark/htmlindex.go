@@ -27,6 +27,9 @@ type indexEntry struct {
 
 // NewIndexWriter prepares an output directory for a batch report.
 func NewIndexWriter(dir, tool string) (*IndexWriter, error) {
+	if err := checkFileNamePart("tool", tool); err != nil {
+		return nil, fmt.Errorf("provmark: index: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("provmark: index: %w", err)
 	}
@@ -34,16 +37,14 @@ func NewIndexWriter(dir, tool string) (*IndexWriter, error) {
 }
 
 // Add writes one benchmark's HTML page and records it for the index.
-func (w *IndexWriter) Add(res *Result) error {
-	return w.AddWire(ToWire(res))
-}
-
-// AddWire is Add for a result already in wire form (e.g. a decoded
-// provmarkd stream cell): both the page and the index row render from
-// the wire encoding.
-func (w *IndexWriter) AddWire(res *wire.Result) error {
+// Both render from the wire form, so local and remote cells share one
+// path.
+func (w *IndexWriter) Add(res *wire.Result) error {
+	if err := checkFileNamePart("benchmark", res.Benchmark); err != nil {
+		return fmt.Errorf("provmark: index: %w", err)
+	}
 	file := fmt.Sprintf("%s_%s.html", w.tool, res.Benchmark)
-	page := RenderWire(res, HTMLPage)
+	page := Render(res, HTMLPage)
 	if err := os.WriteFile(filepath.Join(w.dir, file), []byte(page), 0o644); err != nil {
 		return fmt.Errorf("provmark: index: %w", err)
 	}

@@ -17,11 +17,11 @@ func TestIndexWriterProducesLinkedPages(t *testing.T) {
 	}
 	g := graph.New()
 	g.AddNode("Artifact", graph.Properties{"path": "/x"})
-	if err := w.Add(&Result{Benchmark: "open", Tool: "spade", Target: g, FG: g, BG: graph.New()}); err != nil {
+	if err := w.Add(ToWire(&Result{Benchmark: "open", Tool: "spade", Target: g, FG: g, BG: graph.New()})); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Add(&Result{Benchmark: "dup", Tool: "spade", Empty: true,
-		Reason: ReasonNoNewStructure, FG: g, BG: g}); err != nil {
+	if err := w.Add(ToWire(&Result{Benchmark: "dup", Tool: "spade", Empty: true,
+		Reason: ReasonNoNewStructure, FG: g, BG: g})); err != nil {
 		t.Fatal(err)
 	}
 	path, err := w.Flush()

@@ -1,6 +1,7 @@
 package provmark_test
 
 import (
+	"context"
 	"testing"
 
 	"provmark/internal/benchprog"
@@ -16,12 +17,12 @@ import (
 // output). Run with -race to check recorder thread safety.
 func TestParallelRecordingMatchesSequential(t *testing.T) {
 	prog, _ := benchprog.ByName("rename")
-	seq, err := provmark.New(spade.New(spade.DefaultConfig()), provmark.WithTrials(4)).Run(prog)
+	seq, err := provmark.New(spade.New(spade.DefaultConfig()), provmark.WithTrials(4)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par, err := provmark.New(spade.New(spade.DefaultConfig()),
-		provmark.WithTrials(4), provmark.WithParallelism(4)).Run(prog)
+		provmark.WithTrials(4), provmark.WithParallelism(4)).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestParallelRecordingMatchesSequential(t *testing.T) {
 func TestParallelAcrossAllTools(t *testing.T) {
 	for tool, rec := range fastRecorders() {
 		prog, _ := benchprog.ByName("open")
-		res, err := provmark.New(rec, provmark.WithParallelism(rec.DefaultTrials())).Run(prog)
+		res, err := provmark.New(rec, provmark.WithParallelism(rec.DefaultTrials())).RunContext(context.Background(), prog)
 		if err != nil {
 			t.Errorf("%s: %v", tool, err)
 			continue

@@ -53,8 +53,8 @@ type Config struct {
 	// (zero values mean Smallest). Section 3.4: picking the largest
 	// background with the smallest foreground fails when the extra
 	// background structure is absent from the foreground; the opposite
-	// mix leaks extra structure into the result. Exposed for the
-	// ablation benchmarks.
+	// mix leaks extra structure into the result. Set through
+	// WithPairExtremes, which job specs reach via bg_pair/fg_pair.
 	BGPair, FGPair Extreme
 	// Classifier is the similarity classification engine used by the
 	// generalization stage. Nil gets a private engine per runner.
@@ -166,17 +166,9 @@ func (r *Runner) observe(prog benchprog.Program, s Stage, d time.Duration, err e
 	})
 }
 
-// Run benchmarks one program: the full Figure 3 pipeline. It is the
-// context-free compatibility wrapper over RunContext.
-func (r *Runner) Run(prog benchprog.Program) (*Result, error) {
-	//provmark:allow ctx-background -- compatibility wrapper; callers that have a context use RunContext
-	return r.RunContext(context.Background(), prog)
-}
-
 // RunScenario benchmarks a declarative scenario: the scenario is
 // validated, compiled to a program, and run through the full pipeline.
-// Registered and inline scenarios take the same path as the built-in
-// closure-era suite.
+// Inline scenarios take the same path as the registered suite.
 func (r *Runner) RunScenario(ctx context.Context, s benchprog.Scenario) (*Result, error) {
 	prog, err := s.Compile()
 	if err != nil {
@@ -375,18 +367,6 @@ func (r *Runner) selectPair(prog benchprog.Program, trials []*graph.Graph, extre
 	return pairFromClasses(trials, classes, extreme)
 }
 
-// SelectPair partitions trial graphs into similarity classes, discards
-// classes with a single member, and returns the two smallest graphs of
-// the smallest remaining class.
-func SelectPair(trials []*graph.Graph) (*graph.Graph, *graph.Graph, error) {
-	return SelectPairExtreme(trials, Smallest)
-}
-
-// SelectPairExtreme is SelectPair with a configurable size preference.
-func SelectPairExtreme(trials []*graph.Graph, extreme Extreme) (*graph.Graph, *graph.Graph, error) {
-	return pairFromClasses(trials, SimilarityClasses(trials), extreme)
-}
-
 // pairFromClasses picks the consistent class at the configured size
 // extreme and returns its first two members.
 func pairFromClasses(trials []*graph.Graph, classes [][]int, extreme Extreme) (*graph.Graph, *graph.Graph, error) {
@@ -409,13 +389,6 @@ func pairFromClasses(trials []*graph.Graph, classes [][]int, extreme Extreme) (*
 	}
 	c := classes[best]
 	return trials[c[0]], trials[c[1]], nil
-}
-
-// SimilarityClasses groups trial indices by graph similarity: classes
-// ordered by first member, members ascending. It routes through a
-// throwaway classification engine.
-func SimilarityClasses(trials []*graph.Graph) [][]int {
-	return NewClassifier().Classes(trials)
 }
 
 // compare performs stage 4 on a result whose FG/BG are set.

@@ -1,6 +1,7 @@
 package provmark_test
 
 import (
+	"context"
 	"testing"
 
 	"provmark/internal/benchprog"
@@ -34,7 +35,7 @@ func runBenchmark(t *testing.T, tool, benchName string) *provmark.Result {
 	if !ok {
 		t.Fatalf("unknown benchmark %q", benchName)
 	}
-	res, err := provmark.New(rec).Run(prog)
+	res, err := provmark.New(rec).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatalf("run %s under %s: %v", benchName, tool, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"provmark/internal/datalog"
@@ -32,16 +31,37 @@ func NewStore(dir string) (*Store, error) {
 // ErrNoBaseline is returned by Check when no stored graph exists yet.
 var ErrNoBaseline = errors.New("provmark: no stored baseline")
 
-func (s *Store) path(tool, benchmark string) string {
-	return filepath.Join(s.dir, tool+"__"+benchmark+".dl")
+// path names the baseline file of a (tool, benchmark) pair.
+func (s *Store) path(tool, benchmark string) (string, error) {
+	if err := checkFileNamePart("tool", tool); err != nil {
+		return "", err
+	}
+	if err := checkFileNamePart("benchmark", benchmark); err != nil {
+		return "", err
+	}
+	return filepath.Join(s.dir, tool+"__"+benchmark+".dl"), nil
+}
+
+// checkFileNamePart rejects a tool or benchmark name that would take a
+// file sink's output out of its directory: one containing a path
+// separator, or "." or "..". Under provmark-batch -remote both names
+// arrive off the server's stream.
+func checkFileNamePart(kind, name string) error {
+	if name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return fmt.Errorf("unsafe %s name %q", kind, name)
+	}
+	return nil
 }
 
 // Save stores a benchmark result graph as the baseline, normalizing
 // identifiers so future comparisons are insensitive to allocation order.
 func (s *Store) Save(tool, benchmark string, g *graph.Graph) error {
-	norm := datalog.Normalize(g)
-	text := datalog.Print(norm, "base")
-	if err := os.WriteFile(s.path(tool, benchmark), []byte(text), 0o644); err != nil {
+	path, err := s.path(tool, benchmark)
+	if err != nil {
+		return fmt.Errorf("provmark: store save: %w", err)
+	}
+	text := datalog.Print(datalog.Normalize(g), "base")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		return fmt.Errorf("provmark: store save: %w", err)
 	}
 	return nil
@@ -49,7 +69,11 @@ func (s *Store) Save(tool, benchmark string, g *graph.Graph) error {
 
 // Load retrieves the stored baseline graph.
 func (s *Store) Load(tool, benchmark string) (*graph.Graph, error) {
-	data, err := os.ReadFile(s.path(tool, benchmark))
+	path, err := s.path(tool, benchmark)
+	if err != nil {
+		return nil, fmt.Errorf("provmark: store load: %w", err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrNoBaseline
@@ -85,27 +109,4 @@ func (s *Store) Check(tool, benchmark string, fresh *graph.Graph) (Diff, error) 
 		Detail: fmt.Sprintf("baseline %s vs current %s",
 			graph.Summarize(base), graph.Summarize(fresh)),
 	}, nil
-}
-
-// Entries lists the (tool, benchmark) pairs with stored baselines.
-func (s *Store) Entries() ([][2]string, error) {
-	files, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("provmark: store list: %w", err)
-	}
-	var out [][2]string
-	for _, f := range files {
-		name := strings.TrimSuffix(f.Name(), ".dl")
-		parts := strings.SplitN(name, "__", 2)
-		if len(parts) == 2 {
-			out = append(out, [2]string{parts[0], parts[1]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out, nil
 }

@@ -2,10 +2,15 @@ package provmark
 
 import (
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"provmark/internal/graph"
+	"provmark/internal/wire"
 )
 
 func storeFixture(t *testing.T) (*Store, *graph.Graph) {
@@ -70,6 +75,8 @@ func TestStoreCheckDetectsStructureChange(t *testing.T) {
 	}
 }
 
+// TestStoreEntries: each saved (tool, benchmark) pair is one
+// <tool>__<benchmark>.dl file in the store's directory.
 func TestStoreEntries(t *testing.T) {
 	store, g := storeFixture(t)
 	if err := store.Save("spade", "open", g); err != nil {
@@ -78,15 +85,71 @@ func TestStoreEntries(t *testing.T) {
 	if err := store.Save("camflow", "rename", g); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := store.Entries()
+	files, err := os.ReadDir(store.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("entries = %v", entries)
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
 	}
-	if entries[0][0] != "camflow" || entries[1][1] != "open" {
-		t.Errorf("entries order = %v", entries)
+	if got, want := strings.Join(names, " "), "camflow__rename.dl spade__open.dl"; got != want {
+		t.Errorf("store entries = %q, want %q", got, want)
+	}
+}
+
+// TestFileSinksRejectEscapingNames: the regression store and the HTML
+// index refuse a tool or benchmark name that would place their output
+// outside their directory, such as a remote stream cell named
+// "../escape", and write nothing anywhere.
+func TestFileSinksRejectEscapingNames(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "sink")
+	index, err := NewIndexWriter(dir, "spade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []string{"../escape", "../../../escape", "x/y", `x\y`, ".", ".."}
+	for _, name := range bad {
+		cell, err := wire.DecodeMatrixResult([]byte(`{"schema":1,"index":0,"tool":"spade","benchmark":` + strconv.Quote(name) +
+			`,"result":{"schema":1,"tool":"spade","benchmark":` + strconv.Quote(name) + `,"trials":2,"empty":false,"cost":0,` +
+			`"times":{"recording_ns":1,"transformation_ns":1,"generalization_ns":1,"classification_ns":0,"comparison_ns":1,"total_ns":4},` +
+			`"target":{"nodes":[{"id":"n1","label":"entity"}]}}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := cell.Result.Target.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := index.Add(cell.Result); err == nil {
+			t.Errorf("index accepted benchmark %q", name)
+		}
+		if err := store.Save("spade", cell.Benchmark, g); err == nil {
+			t.Errorf("store saved benchmark %q", name)
+		}
+		if _, err := store.Check("spade", cell.Benchmark, g); err == nil || errors.Is(err, ErrNoBaseline) {
+			t.Errorf("store check of benchmark %q = %v, want a name error", name, err)
+		}
+		if _, err := NewIndexWriter(dir, name); err == nil {
+			t.Errorf("index accepted tool %q", name)
+		}
+		if err := store.Save(name, "open", g); err == nil {
+			t.Errorf("store saved tool %q", name)
+		}
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("sink wrote %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -101,25 +164,25 @@ func TestRenderFlavours(t *testing.T) {
 		FG:        g,
 		BG:        graph.New(),
 	}
-	rb := Render(res, BenchmarkOnly)
+	rb := Render(ToWire(res), BenchmarkOnly)
 	if !contains(rb, "benchmark open under spade") || !contains(rb, "nresult(") {
 		t.Errorf("rb rendering:\n%s", rb)
 	}
-	rg := Render(res, WithGeneralized)
+	rg := Render(ToWire(res), WithGeneralized)
 	if !contains(rg, "generalized foreground") || !contains(rg, "generalized background") {
 		t.Errorf("rg rendering:\n%s", rg)
 	}
-	rh := Render(res, HTMLPage)
+	rh := Render(ToWire(res), HTMLPage)
 	if !contains(rh, "<html>") || !contains(rh, "Benchmark graph") {
 		t.Errorf("rh rendering:\n%s", rh)
 	}
 	// Empty result rendering.
 	empty := &Result{Benchmark: "dup", Tool: "spade", Empty: true,
 		Reason: ReasonNoNewStructure, FG: g, BG: g}
-	if !contains(Render(empty, BenchmarkOnly), "EMPTY") {
+	if !contains(Render(ToWire(empty), BenchmarkOnly), "EMPTY") {
 		t.Error("empty rendering lacks marker")
 	}
-	if !contains(Render(empty, HTMLPage), "Empty result") {
+	if !contains(Render(ToWire(empty), HTMLPage), "Empty result") {
 		t.Error("empty html rendering lacks marker")
 	}
 }

@@ -26,17 +26,11 @@ const (
 	JSON
 )
 
-// Render produces the textual, HTML or JSON report for a result. All
-// flavours render from the versioned wire form, so a report generated
-// locally and one generated from a decoded provmarkd stream agree
-// byte for byte.
-func Render(res *Result, rt ResultType) string {
-	return RenderWire(ToWire(res), rt)
-}
-
-// RenderWire is Render for a result already in wire form (e.g. a
-// decoded provmarkd stream cell).
-func RenderWire(w *wire.Result, rt ResultType) string {
+// Render produces the textual, HTML or JSON report for a result in its
+// versioned wire form (ToWire for a local run, or a decoded provmarkd
+// stream cell), so a report generated locally and one generated from a
+// remote stream agree byte for byte.
+func Render(w *wire.Result, rt ResultType) string {
 	var b strings.Builder
 	switch rt {
 	case JSON:

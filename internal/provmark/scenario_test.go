@@ -44,7 +44,7 @@ func TestRunnerRunScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := runner.Run(prog)
+	direct, err := runner.RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,12 @@ func mkChain(t *testing.T, volatile string, labels ...string) *graph.Graph {
 	return g
 }
 
+// selectPair is the generalization stage's pair choice at the default
+// (smallest) size extreme.
+func selectPair(trials []*graph.Graph) (*graph.Graph, *graph.Graph, error) {
+	return pairFromClasses(trials, NewClassifier().Classes(trials), Smallest)
+}
+
 func TestSimilarityClassesGroupByShape(t *testing.T) {
 	trials := []*graph.Graph{
 		mkChain(t, "1", "A", "B"),
@@ -39,7 +45,7 @@ func TestSimilarityClassesGroupByShape(t *testing.T) {
 		mkChain(t, "", "A", "B", "C"),
 		mkChain(t, "", "X"),
 	}
-	classes := SimilarityClasses(trials)
+	classes := NewClassifier().Classes(trials)
 	if len(classes) != 3 {
 		t.Fatalf("got %d classes, want 3", len(classes))
 	}
@@ -61,7 +67,7 @@ func TestSelectPairPrefersSmallestClass(t *testing.T) {
 	big1 := mkChain(t, "", "A", "B", "C")
 	big2 := mkChain(t, "", "A", "B", "C")
 	lone := mkChain(t, "", "X")
-	g1, g2, err := SelectPair([]*graph.Graph{big1, lone, small1, big2, small2})
+	g1, g2, err := selectPair([]*graph.Graph{big1, lone, small1, big2, small2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestSelectPairAllSingletonsFails(t *testing.T) {
 		mkChain(t, "", "A", "B"),
 		mkChain(t, "", "A", "B", "C"),
 	}
-	if _, _, err := SelectPair(trials); !errors.Is(err, ErrInconsistentTrials) {
+	if _, _, err := selectPair(trials); !errors.Is(err, ErrInconsistentTrials) {
 		t.Errorf("want ErrInconsistentTrials, got %v", err)
 	}
 }
@@ -94,7 +100,7 @@ func TestSelectPairManyClasses(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		trials = append(trials, mkChain(t, strconv.Itoa(i), "A", "B"))
 	}
-	g1, _, err := SelectPair(trials)
+	g1, _, err := selectPair(trials)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package provmark_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,37 +12,56 @@ import (
 	"provmark/internal/wire"
 )
 
-// TestWireRoundTripPreservesResult runs a real pipeline and checks the
-// internal→wire→internal round trip preserves everything the wire
-// schema covers, byte-for-byte at the rendering layer.
+// TestWireRoundTripPreservesResult runs a real pipeline and checks that
+// its wire form carries everything the schema covers (scalars, the
+// three graphs, the stage times), and that a report rendered from the
+// encoded and strict-decoded wire form — what a remote client renders —
+// is byte-identical to one rendered locally.
 func TestWireRoundTripPreservesResult(t *testing.T) {
 	res := runBenchmark(t, "spade", "creat")
 	w := provmark.ToWire(res)
-	back, err := provmark.FromWire(w)
+	if w.Benchmark != res.Benchmark || w.Tool != res.Tool || w.Trials != res.Trials ||
+		w.Empty != res.Empty || w.Reason != string(res.Reason) || w.Cost != res.Cost {
+		t.Fatalf("scalar fields changed: %+v vs %+v", w, res)
+	}
+	for _, pair := range []struct {
+		name string
+		g    *graph.Graph
+		w    *wire.Graph
+	}{{"target", res.Target, w.Target}, {"fg", res.FG, w.FG}, {"bg", res.BG, w.BG}} {
+		back, err := pair.w.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", pair.name, err)
+		}
+		if !graph.Equal(pair.g, back) {
+			t.Fatalf("%s graph changed across the wire", pair.name)
+		}
+	}
+	wt := w.Times
+	if wt.RecordingNS != res.Times.Recording.Nanoseconds() ||
+		wt.TransformationNS != res.Times.Transformation.Nanoseconds() ||
+		wt.GeneralizationNS != res.Times.Generalization.Nanoseconds() ||
+		wt.ClassificationNS != res.Times.Classification.Nanoseconds() ||
+		wt.ComparisonNS != res.Times.Comparison.Nanoseconds() {
+		t.Fatalf("times changed: %+v vs %+v", wt, res.Times)
+	}
+	enc, err := wire.EncodeResult(w)
 	if err != nil {
-		t.Fatalf("FromWire: %v", err)
+		t.Fatal(err)
 	}
-	if back.Benchmark != res.Benchmark || back.Tool != res.Tool || back.Trials != res.Trials ||
-		back.Empty != res.Empty || back.Reason != res.Reason || back.Cost != res.Cost {
-		t.Fatalf("scalar fields changed: %+v vs %+v", back, res)
+	back, err := wire.DecodeResult(enc)
+	if err != nil {
+		t.Fatalf("wire result does not strict-decode: %v", err)
 	}
-	if !graph.Equal(res.Target, back.Target) || !graph.Equal(res.FG, back.FG) || !graph.Equal(res.BG, back.BG) {
-		t.Fatal("graphs changed across the wire round trip")
-	}
-	if back.Times != res.Times {
-		t.Fatalf("times changed: %+v vs %+v", back.Times, res.Times)
-	}
-	// Every report flavour renders identically from the original and
-	// the round-tripped result.
 	for _, rt := range []provmark.ResultType{provmark.BenchmarkOnly, provmark.WithGeneralized, provmark.HTMLPage, provmark.JSON} {
-		if provmark.Render(res, rt) != provmark.Render(back, rt) {
+		if provmark.Render(w, rt) != provmark.Render(back, rt) {
 			t.Errorf("render flavour %d diverges across the wire", rt)
 		}
 	}
-	if provmark.RenderFigureDOT(res) != provmark.RenderFigureDOT(back) {
+	if provmark.RenderFigureDOT(w) != provmark.RenderFigureDOT(back) {
 		t.Error("figure DOT diverges across the wire")
 	}
-	if provmark.TimingLogLine(res) != provmark.TimingLogLine(back) {
+	if provmark.TimingLogLine(w) != provmark.TimingLogLine(back) {
 		t.Error("timing log line diverges across the wire")
 	}
 }
@@ -50,7 +70,7 @@ func TestWireRoundTripPreservesResult(t *testing.T) {
 // wire encoding plus one newline, and strict-decodes back.
 func TestRenderJSON(t *testing.T) {
 	res := runBenchmark(t, "spade", "creat")
-	out := provmark.Render(res, provmark.JSON)
+	out := provmark.Render(provmark.ToWire(res), provmark.JSON)
 	if !strings.HasSuffix(out, "\n") || strings.Count(out, "\n") != 1 {
 		t.Fatalf("JSON render is not one NDJSON line: %q", out)
 	}
@@ -80,7 +100,7 @@ func TestStageTimesAccountClassification(t *testing.T) {
 	res, err := provmark.New(rec,
 		provmark.WithTrials(2),
 		provmark.WithStageObserver(func(ev provmark.StageEvent) { observed = append(observed, ev) }),
-	).Run(prog)
+	).RunContext(context.Background(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +143,7 @@ func TestStageTimesAccountClassification(t *testing.T) {
 	}
 	// The rendered report accounts every stage, including the
 	// sub-stage and the recording stage the pre-wire renderer dropped.
-	text := provmark.Render(res, provmark.BenchmarkOnly)
+	text := provmark.Render(provmark.ToWire(res), provmark.BenchmarkOnly)
 	for _, want := range []string{"record=", "transform=", "generalize=", "classify=", "compare=", "total="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text report does not account %q:\n%s", want, text)

@@ -197,7 +197,7 @@ func DecodeResult(data []byte) (*Result, error) {
 
 // validate enforces the schema's cross-field invariant: the target
 // graph is present exactly when the result is non-empty. Consumers
-// (renderers, FromWire materialization) rely on it.
+// (the report renderers, provmark-batch's sinks) rely on it.
 func (r *Result) validate() error {
 	if r.Empty && r.Target != nil {
 		return fmt.Errorf("empty result carries a target graph")
