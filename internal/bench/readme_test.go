@@ -102,8 +102,9 @@ func TestReadmePerfTableMatchesSnapshot(t *testing.T) {
 // cannot carry claims it does not show. BENCH_9.json claims >=2x
 // ancestry speedups over BENCH_8, exact seq/par probe parity and a
 // >=100x WL allocation drop; BENCH_10.json, which only retires the
-// naive-flat and wl-refine/legacy rows, claims the same parity, its
-// own gate, and every remaining row's counters unchanged from BENCH_9.
+// naive-flat and wl-refine/legacy rows, claims its own gate and every
+// remaining row's counters unchanged from BENCH_9 (so the parity
+// carries over).
 func TestCheckedInSnapshotHoldsTheClaims(t *testing.T) {
 	cur := loadSnapshot(t, "../../BENCH_9.json")
 	prev := loadSnapshot(t, "../../BENCH_8.json")
@@ -147,15 +148,6 @@ func TestCheckedInSnapshotHoldsTheClaims(t *testing.T) {
 		if got, want := renderCounters(r.Counters), renderCounters(old.Counters); got != want {
 			t.Errorf("%s: BENCH_10 counters %s, BENCH_9 %s", r.Name, got, want)
 		}
-	}
-	nextBy := map[string]PerfResult{}
-	for _, r := range next.Results {
-		nextBy[r.Name] = r
-	}
-	seq = nextBy["datalog/ancestry/seminaive-flat"].Counters["join_probes"]
-	par = nextBy["datalog/ancestry/interned-par"].Counters["join_probes"]
-	if seq <= 0 || seq != par {
-		t.Errorf("BENCH_10 probe parity: sequential %d vs parallel %d", seq, par)
 	}
 	if err := next.Gate(2); err != nil {
 		t.Errorf("BENCH_10.json fails its own gate: %v", err)
