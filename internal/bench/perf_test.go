@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -94,5 +96,20 @@ func TestPerfGateDetectsMissingData(t *testing.T) {
 	}
 	if err := noCounter.Gate(2); err == nil {
 		t.Error("gate passed a snapshot with no counters")
+	}
+}
+
+// TestWLPerfCorpusDigest pins the wl-refine corpus to the sha256 of its
+// graphs' String renderings. internal/graph's allocation test builds
+// its own copy of this corpus and pins it to the same digest, so the
+// allocation claim stays about the graphs this workload measures.
+func TestWLPerfCorpusDigest(t *testing.T) {
+	const want = "ff050b7328c89e61469424ab60e26091f7f5ccc778d0da75f5b0d1539215178d"
+	h := sha256.New()
+	for _, g := range wlPerfCorpus(100, 256, 512, 9) {
+		fmt.Fprint(h, g)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("wl-refine corpus digest = %s, want %s", got, want)
 	}
 }

@@ -12,7 +12,8 @@ import "fmt"
 // semi-naive engine (Run) derives identical fact sets, and
 // BenchmarkDatalogAncestry measures the join-probe gap between the
 // two. It reads facts through Facts, so it sees only the public view
-// of the database.
+// of the database; its timings include materializing those copies
+// once per body atom per iteration.
 //
 // It shares Run's static safety check, so an unsafe rule is rejected
 // even when no binding ever reaches its head.
@@ -38,9 +39,10 @@ func (db *Database) RunNaive(rules []Rule) error {
 			for _, atom := range r.Body {
 				var next []binding
 				if atom.Negated {
+					facts := db.Facts(atom.Pred)
 					for _, b := range bindings {
 						matched := false
-						for _, f := range db.Facts(atom.Pred) {
+						for _, f := range facts {
 							db.stats.JoinProbes++
 							if _, ok := unify(Atom{Pred: atom.Pred, Terms: atom.Terms}, f, b); ok {
 								matched = true

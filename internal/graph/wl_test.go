@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -76,6 +77,24 @@ func TestWLRefineAllocsUnderLegacy(t *testing.T) {
 	t.Logf("wl-refine allocs: interned %d, legacy %d", interned, legacy)
 	if interned*100 > legacy {
 		t.Errorf("wl-refine allocs: interned %d vs legacy %d — drop below 100x", interned, legacy)
+	}
+}
+
+// wlPerfCorpusDigest is the sha256 of the String renderings of
+// wlAllocCorpus(100, 256, 512, 9). internal/bench's
+// TestWLPerfCorpusDigest pins its own wl-refine corpus to the same
+// value, so the two generators cannot drift apart unnoticed.
+const wlPerfCorpusDigest = "ff050b7328c89e61469424ab60e26091f7f5ccc778d0da75f5b0d1539215178d"
+
+// TestWLAllocCorpusIsPerfCorpus: the allocation test measures the
+// graphs the perf snapshot's wl-refine workload fingerprints.
+func TestWLAllocCorpusIsPerfCorpus(t *testing.T) {
+	h := sha256.New()
+	for _, g := range wlAllocCorpus(100, 256, 512, 9) {
+		fmt.Fprint(h, g)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != wlPerfCorpusDigest {
+		t.Errorf("wlAllocCorpus digest = %s, want %s (the perf corpus)", got, wlPerfCorpusDigest)
 	}
 }
 

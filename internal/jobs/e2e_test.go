@@ -145,6 +145,11 @@ func TestServiceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, g := range []*wire.Graph{cell.Result.Target, cell.Result.FG, cell.Result.BG} {
+			if _, err := g.Build(); err != nil {
+				t.Fatalf("streamed result does not materialize: %v", err)
+			}
+		}
 		if got, want := provmark.Render(cell.Result, provmark.JSON), string(enc)+"\n"; got != want {
 			t.Errorf("Render(JSON) diverges from streamed wire bytes for %s:\n%s\nvs\n%s", cell.Benchmark, got, want)
 		}

@@ -9,7 +9,10 @@ package match_test
 // acceptance test, whose seed linear scan confirms through SimilarASP:
 // the engine spends at least 3x fewer ASP solver invocations than the
 // seed scan on a 32-trial corpus. Both run here, beside the oracles,
-// because the oracles live in this package's test files.
+// because the oracles live in this package's test files. The corpus
+// helpers are a deliberate copy of internal/provmark's classifier-test
+// helpers: external test packages cannot share test code, and no test
+// compares the corpora the two copies build.
 
 import (
 	"fmt"

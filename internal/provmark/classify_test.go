@@ -5,7 +5,10 @@ package provmark_test
 // run, classification keeps no state and no graphs, and symmetric
 // shapes fall back to the solver. The four-path differential against
 // the frozen matcher oracles and the solver-invocation reduction test
-// live in internal/match, beside the oracles.
+// live in internal/match, beside the oracles. That package keeps its
+// own copy of the corpus helpers below on purpose: external test
+// packages cannot share test code, and no test compares the corpora
+// the two copies build.
 
 import (
 	"context"
