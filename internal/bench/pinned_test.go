@@ -16,7 +16,7 @@ import (
 	"provmark/internal/provmark"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/grid_outputs.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*_outputs.golden files")
 
 // TestGridOutputsPinned pins every output of the Fast Table 2 grid and
 // the 8/16/32 scalability sweep: one sha256 per cell over the
@@ -42,6 +42,30 @@ func TestGridOutputsPinned(t *testing.T) {
 		Benchmarks: progs,
 		Scenarios:  []benchprog.Scenario{benchprog.ScaleScenario(8), benchprog.ScaleScenario(16), benchprog.ScaleScenario(32)},
 	}
+	checkCellsPinned(t, m, len(Tools)*(len(progs)+3), "grid_outputs.golden")
+}
+
+// TestScaleGrowthOutputsPinned extends the pin to the two largest
+// graphs of the scalability sweep, ScaleScenario(64) and (128), on
+// every tool. Regenerate with
+//
+//	go test ./internal/bench -run TestScaleGrowthOutputsPinned -update
+func TestScaleGrowthOutputsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records and matches the scale64 and scale128 graphs")
+	}
+	m := provmark.Matrix{
+		Tools:     Tools,
+		Capture:   capture.Options{Fast: true},
+		Scenarios: []benchprog.Scenario{benchprog.ScaleScenario(64), benchprog.ScaleScenario(128)},
+	}
+	checkCellsPinned(t, m, len(Tools)*2, "scale_growth_outputs.golden")
+}
+
+// checkCellsPinned runs m and compares one cellDigest line per cell,
+// in matrix order, with testdata/golden (rewritten under -update).
+func checkCellsPinned(t *testing.T, m provmark.Matrix, wantCells int, golden string) {
+	t.Helper()
 	cells, err := m.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +77,10 @@ func TestGridOutputsPinned(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s/%s %x\n", c.Tool, c.Benchmark, cellDigest(c.Result))
 	}
-	if want := len(Tools) * (len(progs) + 3); len(cells) != want {
-		t.Fatalf("%d cells, want %d", len(cells), want)
+	if len(cells) != wantCells {
+		t.Fatalf("%d cells, want %d", len(cells), wantCells)
 	}
-	path := filepath.Join("testdata", "grid_outputs.golden")
+	path := filepath.Join("testdata", golden)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -66,11 +90,11 @@ func TestGridOutputsPinned(t *testing.T) {
 		}
 		return
 	}
-	golden, err := os.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	got := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
 	if len(got) != len(want) {
 		t.Fatalf("%d cells, golden has %d", len(got), len(want))
