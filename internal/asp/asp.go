@@ -7,7 +7,7 @@
 //   - cardinality-1 choice rules  {h(X,Y) : ...} = 1 :- item(X)
 //     become selection groups: exactly one atom per group is true;
 //   - the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) become at-most-one
-//     sets, one per target element Z (AddConflict is the two-atom case);
+//     sets, one per target element Z;
 //   - constraints of the form :- h(E1,E2), not h(X,Y) (edge endpoint
 //     preservation) become implications h(E1,E2) -> h(X,Y);
 //   - #minimize { PC,X,K : cost(X,K,PC) } becomes per-atom integer
@@ -17,21 +17,27 @@
 // whose labels disagree are simply never generated, exactly as a
 // grounder would delete rules with unsatisfiable bodies.
 //
+// A ground problem carries no names: an atom is its group and weight,
+// a group's atoms are one contiguous range of the atom array, and the
+// caller keeps what each atom stands for.
+//
 // The solver is a depth-first search with unit propagation and
 // branch-and-bound pruning on the weight objective. It branches on the
 // open group with the fewest alive candidates (the lowest index on
-// ties) and, under SolveMin, tries them cheapest first. Selecting an
-// atom kills the other candidates of its group and the other members of
-// its at-most-one sets, then selects the atoms it implies, recursively;
-// the selection fails when it contradicts an earlier one or leaves some
-// group without a candidate. Every kill and selection goes on a trail
-// that backtracking unwinds. The search keeps each group's count of
+// ties) and, under SolveMin, tries them cheapest first, stopping at
+// the first candidate whose child the bound would prune on entry.
+// Selecting an atom kills the other candidates of its group and the
+// other members of its at-most-one sets, then selects the atoms it
+// implies, recursively; the selection fails when it contradicts an
+// earlier one or leaves some group without a candidate. Every kill and
+// selection goes on a trail that backtracking unwinds. The search keeps each group's count of
 // alive candidates, the number of groups left with none, and under
 // SolveMin each open group's cheapest alive candidate, updating them as
 // atoms die and revive; so picking a group, detecting a wiped-out group
-// and computing the bound never rescan the atoms. The search is
-// deterministic: given the same problem it makes the same choices in
-// the same order.
+// and computing the bound never rescan the atoms. The search state is
+// sized from the problem once per solve. The search is deterministic:
+// given the same problem it makes the same choices in the same order,
+// and Solution.Nodes reports how many search nodes it visited.
 package asp
 
 import (
@@ -39,49 +45,64 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 )
 
 // AtomID indexes an atom within a Problem.
-type AtomID int
+type AtomID int32
 
-// Atom is one ground instance h(X, Y) of the matching relation, carrying
-// an optional weight contributed to the objective when selected.
+// Atom is one ground instance h(X, Y) of the matching relation; the
+// caller that grounds it knows which X and Y it stands for.
 type Atom struct {
-	X, Y   string // element of G1, element of G2 (for rendering)
-	Group  int    // selection group this atom belongs to
-	Weight int    // objective contribution when selected
+	Group  int32 // selection group this atom belongs to
+	Weight int32 // objective contribution when selected
 }
 
 // Problem is a ground matching program.
 type Problem struct {
-	atoms     []Atom
-	groups    [][]AtomID  // exactly one atom per group must hold
-	sets      [][]AtomID  // at most one atom per set may hold
-	implies   [][2]AtomID // {a, b}: selecting a forces selecting b
-	groupName []string
+	atoms   []Atom
+	bounds  []int32     // group g's atoms are bounds[g] up to bounds[g+1]
+	sets    [][]AtomID  // at most one atom per set may hold
+	implies [][2]AtomID // {a, b}: selecting a forces selecting b
 }
 
 // NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	return &Problem{}
+	return &Problem{bounds: []int32{0}}
+}
+
+// Grow reserves room for the given numbers of further groups, atoms,
+// at-most-one sets and implications, so that a caller who counts them
+// first fills the problem without reallocating.
+func (p *Problem) Grow(groups, atoms, sets, implications int) {
+	p.bounds = slices.Grow(p.bounds, groups)
+	p.atoms = slices.Grow(p.atoms, atoms)
+	p.sets = slices.Grow(p.sets, sets)
+	p.implies = slices.Grow(p.implies, implications)
 }
 
 // AddGroup creates a selection group (one X that must be matched) and
-// returns its index. name is used only for rendering.
-func (p *Problem) AddGroup(name string) int {
-	p.groups = append(p.groups, nil)
-	p.groupName = append(p.groupName, name)
-	return len(p.groups) - 1
+// returns its index. Atoms are added to the newest group only.
+func (p *Problem) AddGroup() int {
+	p.bounds = append(p.bounds, int32(len(p.atoms)))
+	return len(p.bounds) - 2
 }
 
-// AddAtom adds a candidate atom to a group and returns its id.
-func (p *Problem) AddAtom(group int, x, y string, weight int) AtomID {
+// AddAtom adds a candidate atom to group, which must be the newest
+// group, and returns its id.
+func (p *Problem) AddAtom(group, weight int) AtomID {
+	if group != len(p.bounds)-2 {
+		panic("asp: AddAtom on a group other than the newest")
+	}
 	id := AtomID(len(p.atoms))
-	p.atoms = append(p.atoms, Atom{X: x, Y: y, Group: group, Weight: weight})
-	p.groups[group] = append(p.groups[group], id)
+	p.atoms = append(p.atoms, Atom{Group: int32(group), Weight: int32(weight)})
+	p.bounds[group+1]++
 	return id
+}
+
+// span returns group g's atoms as the id range [lo, hi).
+func (p *Problem) span(g int) (lo, hi AtomID) {
+	return AtomID(p.bounds[g]), AtomID(p.bounds[g+1])
 }
 
 // AddAtMostOne forbids any two of the given distinct atoms from holding
@@ -94,15 +115,14 @@ func (p *Problem) AddAtMostOne(atoms []AtomID) {
 	}
 }
 
-// AddConflict forbids a and b from holding together.
-func (p *Problem) AddConflict(a, b AtomID) {
-	p.AddAtMostOne([]AtomID{a, b})
-}
-
 // AddImplication records that selecting a forces selecting b.
 func (p *Problem) AddImplication(a, b AtomID) {
 	p.implies = append(p.implies, [2]AtomID{a, b})
 }
+
+// Implications returns the {a, b} pairs recorded by AddImplication, in
+// insertion order. The slice is shared and must not be modified.
+func (p *Problem) Implications() [][2]AtomID { return p.implies }
 
 // Atom returns the atom with the given id.
 func (p *Problem) Atom(id AtomID) Atom { return p.atoms[id] }
@@ -111,7 +131,7 @@ func (p *Problem) Atom(id AtomID) Atom { return p.atoms[id] }
 func (p *Problem) NumAtoms() int { return len(p.atoms) }
 
 // NumGroups reports how many selection groups the problem has.
-func (p *Problem) NumGroups() int { return len(p.groups) }
+func (p *Problem) NumGroups() int { return len(p.bounds) - 1 }
 
 // ErrUnsat is returned when no model exists.
 var ErrUnsat = errors.New("asp: unsatisfiable")
@@ -130,6 +150,7 @@ func SolveInvocations() uint64 { return solveInvocations.Load() }
 type Solution struct {
 	Selected []AtomID // indexed by group
 	Cost     int
+	Nodes    int // search nodes Solve or SolveMin visited; 0 under SolveAll
 }
 
 // Solve finds any model (ignoring weights). It is equivalent to
@@ -153,37 +174,11 @@ func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
 	}
 	s := p.newState(false)
 	count := 0
-	stopped := false
-	var enumerate func()
-	enumerate = func() {
-		if stopped {
-			return
-		}
-		gi := s.pickGroup()
-		if gi < 0 {
-			count++
-			sol := &Solution{Selected: append([]AtomID(nil), s.chosen...), Cost: s.cost}
-			if !fn(sol) || (limit > 0 && count >= limit) {
-				stopped = true
-			}
-			return
-		}
-		cands := s.pushCandidates(gi)
-		defer s.popCandidates(cands)
-		for _, a := range cands {
-			if stopped {
-				return
-			}
-			if !s.alive[a] {
-				continue
-			}
-			if s.choose(a) {
-				enumerate()
-			}
-			s.undo()
-		}
+	s.visit = func(sol *Solution) bool {
+		count++
+		return fn(sol) && (limit <= 0 || count < limit)
 	}
-	enumerate()
+	s.search()
 	return count
 }
 
@@ -197,28 +192,31 @@ type state struct {
 	implies byAtom   // atoms each atom's selection forces
 	alive   []bool   // per atom
 	chosen  []AtomID // per group, -1 if open
-	nAlive  []int    // per group: alive candidates
+	nAlive  []int32  // per group: alive candidates
 	empty   int      // groups with no alive candidate
 	cost    int
 	trail   []AtomID // killed atoms, and ^a for each selection of a
-	// Under SolveMin only: byWeight[g] lists g's atoms stably sorted by
-	// weight. While g is open, byWeight[g][head[g]] is its first alive
-	// atom there, whose weight is g's least alive weight. headTrail
-	// holds the heads it replaced, for undo.
-	byWeight  [][]AtomID
-	head      []int
+	// Under SolveMin only: order lists every group's atoms stably
+	// sorted by weight, in the group's own range of the atom array.
+	// While g is open, order[head[g]] is its first alive atom there,
+	// whose weight is g's least alive weight. headTrail holds the heads
+	// it replaced, for undo.
+	order     []AtomID
+	head      []int32
 	headTrail []headUndo
 	marks     []mark
-	stack     []AtomID // candidate lists of the open search levels
+	stack     []AtomID             // candidate lists of the open search levels
+	nodes     int                  // search() entries
+	visit     func(*Solution) bool // under SolveAll: takes each model, false stops
 	best      *Solution
 	bestCost  int
 	optimize  bool
 }
 
-type headUndo struct{ group, head int }
+type headUndo struct{ group, head int32 }
 
 // mark records the trail lengths at a choice point.
-type mark struct{ trail, headTrail int }
+type mark struct{ trail, headTrail int32 }
 
 // byAtom lists values per atom, in insertion order: atom a's values are
 // vals[start[a]:start[a+1]].
@@ -236,11 +234,14 @@ func indexByAtom(n int, each func(emit func(a AtomID, v int32))) byAtom {
 		x.start[a+1] += x.start[a]
 	}
 	x.vals = make([]int32, x.start[n])
-	next := append([]int32(nil), x.start[:n]...)
+	// Filling moves start[a] to the end of a's values, which is where
+	// a+1's begin; shifting by one afterwards restores the starts.
 	each(func(a AtomID, v int32) {
-		x.vals[next[a]] = v
-		next[a]++
+		x.vals[x.start[a]] = v
+		x.start[a]++
 	})
+	copy(x.start[1:], x.start[:n])
+	x.start[0] = 0
 	return x
 }
 
@@ -248,32 +249,38 @@ func (x byAtom) of(a AtomID) []int32 { return x.vals[x.start[a]:x.start[a+1]] }
 
 // emptyGroup returns the first group with no candidates, or -1.
 func (p *Problem) emptyGroup() int {
-	for gi, g := range p.groups {
-		if len(g) == 0 {
+	for gi := 0; gi < p.NumGroups(); gi++ {
+		if lo, hi := p.span(gi); lo == hi {
 			return gi
 		}
 	}
 	return -1
 }
 
-// newState builds the search state with every atom alive.
+// newState builds the search state with every atom alive, its slices
+// sized for the deepest search: a trail entry per kill and selection, a
+// stack and head-trail entry per atom, and a mark per group.
 func (p *Problem) newState(optimize bool) *state {
+	n, groups := len(p.atoms), p.NumGroups()
 	s := &state{
 		p:        p,
-		alive:    make([]bool, len(p.atoms)),
-		chosen:   make([]AtomID, len(p.groups)),
-		nAlive:   make([]int, len(p.groups)),
+		alive:    make([]bool, n),
+		chosen:   make([]AtomID, groups),
+		nAlive:   make([]int32, groups),
+		trail:    make([]AtomID, 0, n+groups),
+		marks:    make([]mark, 0, groups+1),
+		stack:    make([]AtomID, 0, n),
 		optimize: optimize,
 		bestCost: int(^uint(0) >> 1),
 	}
-	s.sets = indexByAtom(len(p.atoms), func(emit func(AtomID, int32)) {
+	s.sets = indexByAtom(n, func(emit func(AtomID, int32)) {
 		for si, set := range p.sets {
 			for _, a := range set {
 				emit(a, int32(si))
 			}
 		}
 	})
-	s.implies = indexByAtom(len(p.atoms), func(emit func(AtomID, int32)) {
+	s.implies = indexByAtom(n, func(emit func(AtomID, int32)) {
 		for _, imp := range p.implies {
 			emit(imp[0], int32(imp[1]))
 		}
@@ -281,19 +288,20 @@ func (p *Problem) newState(optimize bool) *state {
 	for i := range s.alive {
 		s.alive[i] = true
 	}
-	for gi, g := range p.groups {
+	for gi := range s.chosen {
 		s.chosen[gi] = -1
-		s.nAlive[gi] = len(g)
+		s.nAlive[gi] = p.bounds[gi+1] - p.bounds[gi]
 	}
 	if optimize {
-		s.byWeight = make([][]AtomID, len(p.groups))
-		s.head = make([]int, len(p.groups))
-		flat := make([]AtomID, 0, len(p.atoms))
-		for gi, g := range p.groups {
-			start := len(flat)
-			flat = append(flat, g...)
-			s.byWeight[gi] = flat[start:]
-			slices.SortStableFunc(s.byWeight[gi], func(a, b AtomID) int {
+		s.order = make([]AtomID, n)
+		s.head = make([]int32, groups)
+		s.headTrail = make([]headUndo, 0, n)
+		for a := range s.order {
+			s.order[a] = AtomID(a)
+		}
+		for gi := range s.head {
+			s.head[gi] = p.bounds[gi]
+			slices.SortStableFunc(s.order[p.bounds[gi]:p.bounds[gi+1]], func(a, b AtomID) int {
 				return cmp.Compare(p.atoms[a].Weight, p.atoms[b].Weight)
 			})
 		}
@@ -304,15 +312,19 @@ func (p *Problem) newState(optimize bool) *state {
 func (p *Problem) solve(optimize bool) (*Solution, error) {
 	solveInvocations.Add(1)
 	if gi := p.emptyGroup(); gi >= 0 {
-		return nil, fmt.Errorf("%w: group %s has no candidates", ErrUnsat, p.groupName[gi])
+		return nil, fmt.Errorf("%w: group %d has no candidates", ErrUnsat, gi)
 	}
 	s := p.newState(optimize)
 	s.search()
 	if s.best == nil {
 		return nil, ErrUnsat
 	}
+	s.best.Nodes = s.nodes
 	return s.best, nil
 }
+
+// weight returns atom a's weight.
+func (s *state) weight(a AtomID) int { return int(s.p.atoms[a].Weight) }
 
 // lowerBound sums, over open groups, the minimum weight among alive
 // candidates. This is an admissible bound for branch-and-bound.
@@ -320,7 +332,7 @@ func (s *state) lowerBound() int {
 	lb := s.cost
 	for gi, c := range s.chosen {
 		if c < 0 {
-			lb += s.p.atoms[s.byWeight[gi][s.head[gi]]].Weight
+			lb += s.weight(s.order[s.head[gi]])
 		}
 	}
 	return lb
@@ -330,7 +342,7 @@ func (s *state) lowerBound() int {
 // (minimum remaining values, lowest index on ties), or -1 if all
 // groups are decided.
 func (s *state) pickGroup() int {
-	best, bestN := -1, int(^uint(0)>>1)
+	best, bestN := -1, int32(^uint32(0)>>1)
 	for gi, c := range s.chosen {
 		if c >= 0 {
 			continue
@@ -351,13 +363,18 @@ func (s *state) pickGroup() int {
 // while the caller iterates; the caller pops it with popCandidates.
 func (s *state) pushCandidates(gi int) []AtomID {
 	base := len(s.stack)
-	order := s.p.groups[gi]
+	lo, hi := s.p.span(gi)
 	if s.optimize {
-		order = s.byWeight[gi][s.head[gi]:]
-	}
-	for _, a := range order {
-		if s.alive[a] {
-			s.stack = append(s.stack, a)
+		for _, a := range s.order[s.head[gi]:hi] {
+			if s.alive[a] {
+				s.stack = append(s.stack, a)
+			}
+		}
+	} else {
+		for a := lo; a < hi; a++ {
+			if s.alive[a] {
+				s.stack = append(s.stack, a)
+			}
 		}
 	}
 	return s.stack[base:]
@@ -367,32 +384,54 @@ func (s *state) popCandidates(cands []AtomID) {
 	s.stack = s.stack[:len(s.stack)-len(cands)]
 }
 
-func (s *state) search() {
+// search explores the subtree below the current state and reports
+// whether to stop: Solve stops at its first model, SolveAll when visit
+// says so, and SolveMin never.
+func (s *state) search() bool {
+	s.nodes++
 	if s.optimize && s.best != nil && s.lowerBound() >= s.bestCost {
-		return
+		return false
 	}
 	gi := s.pickGroup()
 	if gi < 0 {
-		sol := &Solution{Selected: append([]AtomID(nil), s.chosen...), Cost: s.cost}
-		s.best = sol
+		s.best = &Solution{Selected: append([]AtomID(nil), s.chosen...), Cost: s.cost}
 		s.bestCost = s.cost
-		return
+		if s.visit != nil {
+			return !s.visit(s.best)
+		}
+		return !s.optimize
 	}
 	cands := s.pushCandidates(gi)
 	defer s.popCandidates(cands)
+	lb, haveLB := 0, false
 	for _, a := range cands {
+		// Cut the remaining siblings by the bound. Choosing a adds its
+		// weight, and the weights of the atoms it implies, in place of
+		// the open groups' least alive weights, and it only kills atoms
+		// elsewhere; so the child's bound is at least this level's
+		// bound lb minus gi's least weight (that of its head, cands[0])
+		// plus a's weight. When that sum reaches bestCost the child
+		// would be pruned on entry, and so would every later candidate,
+		// which is at least as heavy. lb is taken with the children
+		// undone, and undo restores this level's state exactly.
+		if s.optimize && s.best != nil {
+			if !haveLB {
+				lb, haveLB = s.lowerBound(), true
+			}
+			if lb-s.weight(cands[0])+s.weight(a) >= s.bestCost {
+				break
+			}
+		}
 		if !s.alive[a] {
 			continue
 		}
-		if s.choose(a) {
-			s.search()
-			if !s.optimize && s.best != nil {
-				s.undo()
-				return
-			}
-		}
+		stop := s.choose(a) && s.search()
 		s.undo()
+		if stop {
+			return true
+		}
 	}
+	return false
 }
 
 // choose selects atom a and propagates: kill the group's other
@@ -401,7 +440,7 @@ func (s *state) search() {
 // wipes out some group or contradicts an earlier choice; the caller
 // must still undo.
 func (s *state) choose(a AtomID) bool {
-	s.marks = append(s.marks, mark{len(s.trail), len(s.headTrail)})
+	s.marks = append(s.marks, mark{int32(len(s.trail)), int32(len(s.headTrail))})
 	return s.propagate(a)
 }
 
@@ -414,9 +453,10 @@ func (s *state) propagate(a AtomID) bool {
 		return false
 	}
 	s.chosen[at.Group] = a
-	s.cost += at.Weight
+	s.cost += int(at.Weight)
 	s.trail = append(s.trail, ^a)
-	for _, other := range s.p.groups[at.Group] {
+	lo, hi := s.p.span(int(at.Group))
+	for other := lo; other < hi; other++ {
 		if other != a && s.alive[other] {
 			s.kill(other)
 		}
@@ -463,10 +503,10 @@ func (s *state) kill(a AtomID) {
 	}
 	// Under SolveMin, move an open group's head past the atom, which
 	// carried the group's least alive weight.
-	if s.optimize && s.chosen[g] < 0 && s.byWeight[g][s.head[g]] == a {
+	if s.optimize && s.chosen[g] < 0 && s.order[s.head[g]] == a {
 		s.headTrail = append(s.headTrail, headUndo{g, s.head[g]})
 		h := s.head[g] + 1
-		for !s.alive[s.byWeight[g][h]] {
+		for !s.alive[s.order[h]] {
 			h++
 		}
 		s.head[g] = h
@@ -476,13 +516,13 @@ func (s *state) kill(a AtomID) {
 func (s *state) undo() {
 	m := s.marks[len(s.marks)-1]
 	s.marks = s.marks[:len(s.marks)-1]
-	for len(s.trail) > m.trail {
+	for len(s.trail) > int(m.trail) {
 		x := s.trail[len(s.trail)-1]
 		s.trail = s.trail[:len(s.trail)-1]
 		if x < 0 {
 			at := s.p.atoms[^x]
 			s.chosen[at.Group] = -1
-			s.cost -= at.Weight
+			s.cost -= int(at.Weight)
 			continue
 		}
 		s.alive[x] = true
@@ -492,52 +532,9 @@ func (s *state) undo() {
 		}
 		s.nAlive[g]++
 	}
-	for len(s.headTrail) > m.headTrail {
+	for len(s.headTrail) > int(m.headTrail) {
 		u := s.headTrail[len(s.headTrail)-1]
 		s.headTrail = s.headTrail[:len(s.headTrail)-1]
 		s.head[u.group] = u.head
 	}
-}
-
-// Render prints the ground program in a clingo-like concrete syntax,
-// useful for debugging and for comparing against the paper's listings.
-func (p *Problem) Render() string {
-	var b strings.Builder
-	for gi, g := range p.groups {
-		names := make([]string, 0, len(g))
-		for _, a := range g {
-			names = append(names, fmt.Sprintf("h(%s,%s)", p.atoms[a].X, p.atoms[a].Y))
-		}
-		fmt.Fprintf(&b, "{ %s } = 1. %% group %s\n", strings.Join(names, "; "), p.groupName[gi])
-	}
-	var pairs [][2]AtomID
-	for _, set := range p.sets {
-		for i, x := range set {
-			for _, y := range set[i+1:] {
-				pairs = append(pairs, [2]AtomID{min(x, y), max(x, y)})
-			}
-		}
-	}
-	// Sorted and deduplicated: a pair may come from several sets.
-	slices.SortFunc(pairs, func(x, y [2]AtomID) int {
-		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
-	})
-	for _, k := range slices.Compact(pairs) {
-		fmt.Fprintf(&b, ":- h(%s,%s), h(%s,%s).\n",
-			p.atoms[k[0]].X, p.atoms[k[0]].Y, p.atoms[k[1]].X, p.atoms[k[1]].Y)
-	}
-	for _, imp := range p.implies {
-		a, i := p.atoms[imp[0]], p.atoms[imp[1]]
-		fmt.Fprintf(&b, ":- h(%s,%s), not h(%s,%s).\n", a.X, a.Y, i.X, i.Y)
-	}
-	var costs []string
-	for _, a := range p.atoms {
-		if a.Weight > 0 {
-			costs = append(costs, fmt.Sprintf("%d,%s,%s : h(%s,%s)", a.Weight, a.X, a.Y, a.X, a.Y))
-		}
-	}
-	if len(costs) > 0 {
-		fmt.Fprintf(&b, "#minimize { %s }.\n", strings.Join(costs, "; "))
-	}
-	return b.String()
 }

@@ -2,33 +2,39 @@ package asp
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
+
+// AddConflict forbids a and b from holding together: a two-atom
+// at-most-one set.
+func (p *Problem) AddConflict(a, b AtomID) {
+	p.AddAtMostOne([]AtomID{a, b})
+}
 
 // buildAssignment makes a problem with two groups x1, x2 and candidates
 // y1, y2 for each, plus the injectivity conflicts of a matching.
 func buildAssignment(w11, w12, w21, w22 int) (*Problem, [4]AtomID) {
 	p := NewProblem()
-	g1 := p.AddGroup("x1")
-	g2 := p.AddGroup("x2")
-	a11 := p.AddAtom(g1, "x1", "y1", w11)
-	a12 := p.AddAtom(g1, "x1", "y2", w12)
-	a21 := p.AddAtom(g2, "x2", "y1", w21)
-	a22 := p.AddAtom(g2, "x2", "y2", w22)
+	g1 := p.AddGroup()
+	a11 := p.AddAtom(g1, w11)
+	a12 := p.AddAtom(g1, w12)
+	g2 := p.AddGroup()
+	a21 := p.AddAtom(g2, w21)
+	a22 := p.AddAtom(g2, w22)
 	p.AddConflict(a11, a21) // both map to y1
 	p.AddConflict(a12, a22) // both map to y2
 	return p, [4]AtomID{a11, a12, a21, a22}
 }
 
 func TestSolveFindsAModel(t *testing.T) {
-	p, _ := buildAssignment(0, 0, 0, 0)
+	p, atoms := buildAssignment(0, 0, 0, 0)
+	target := map[AtomID]string{atoms[0]: "y1", atoms[1]: "y2", atoms[2]: "y1", atoms[3]: "y2"}
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	y1 := p.Atom(sol.Selected[0]).Y
-	y2 := p.Atom(sol.Selected[1]).Y
+	y1 := target[sol.Selected[0]]
+	y2 := target[sol.Selected[1]]
 	if y1 == y2 {
 		t.Errorf("injectivity violated: both groups map to %s", y1)
 	}
@@ -54,8 +60,8 @@ func TestSolveMinForcedExpensiveChoice(t *testing.T) {
 	// Only one matching exists after conflicts; its cost must be
 	// reported faithfully.
 	p := NewProblem()
-	g1 := p.AddGroup("x1")
-	a := p.AddAtom(g1, "x1", "y1", 7)
+	g1 := p.AddGroup()
+	a := p.AddAtom(g1, 7)
 	sol, err := p.SolveMin()
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +73,7 @@ func TestSolveMinForcedExpensiveChoice(t *testing.T) {
 
 func TestUnsatEmptyGroup(t *testing.T) {
 	p := NewProblem()
-	p.AddGroup("x1") // no candidates
+	p.AddGroup() // no candidates
 	if _, err := p.Solve(); !errors.Is(err, ErrUnsat) {
 		t.Errorf("want ErrUnsat, got %v", err)
 	}
@@ -76,10 +82,10 @@ func TestUnsatEmptyGroup(t *testing.T) {
 func TestUnsatByConflicts(t *testing.T) {
 	// Two groups, one shared candidate each: pigeonhole.
 	p := NewProblem()
-	g1 := p.AddGroup("x1")
-	g2 := p.AddGroup("x2")
-	a1 := p.AddAtom(g1, "x1", "y", 0)
-	a2 := p.AddAtom(g2, "x2", "y", 0)
+	g1 := p.AddGroup()
+	a1 := p.AddAtom(g1, 0)
+	g2 := p.AddGroup()
+	a2 := p.AddAtom(g2, 0)
 	p.AddConflict(a1, a2)
 	if _, err := p.Solve(); !errors.Is(err, ErrUnsat) {
 		t.Errorf("want ErrUnsat, got %v", err)
@@ -89,11 +95,11 @@ func TestUnsatByConflicts(t *testing.T) {
 func TestImplicationsPropagate(t *testing.T) {
 	// Selecting e->f forces x->y; x->z conflicts with that.
 	p := NewProblem()
-	gx := p.AddGroup("x")
-	ge := p.AddGroup("e")
-	xy := p.AddAtom(gx, "x", "y", 1)
-	xz := p.AddAtom(gx, "x", "z", 0)
-	ef := p.AddAtom(ge, "e", "f", 0)
+	gx := p.AddGroup()
+	xy := p.AddAtom(gx, 1)
+	xz := p.AddAtom(gx, 0)
+	ge := p.AddGroup()
+	ef := p.AddAtom(ge, 0)
 	p.AddImplication(ef, xy)
 	sol, err := p.SolveMin()
 	if err != nil {
@@ -109,15 +115,15 @@ func TestImplicationsPropagate(t *testing.T) {
 
 func TestChainedImplications(t *testing.T) {
 	p := NewProblem()
-	ga := p.AddGroup("a")
-	gb := p.AddGroup("b")
-	gc := p.AddGroup("c")
-	a1 := p.AddAtom(ga, "a", "1", 0)
-	b1 := p.AddAtom(gb, "b", "1", 0)
-	c1 := p.AddAtom(gc, "c", "1", 0)
-	// Extra candidates so the groups are not forced trivially.
-	p.AddAtom(gb, "b", "2", 0)
-	p.AddAtom(gc, "c", "2", 0)
+	// b and c get a second candidate so they are not forced trivially.
+	ga := p.AddGroup()
+	a1 := p.AddAtom(ga, 0)
+	gb := p.AddGroup()
+	b1 := p.AddAtom(gb, 0)
+	p.AddAtom(gb, 0)
+	gc := p.AddGroup()
+	c1 := p.AddAtom(gc, 0)
+	p.AddAtom(gc, 0)
 	p.AddImplication(a1, b1)
 	p.AddImplication(b1, c1)
 	sol, err := p.Solve()
@@ -135,10 +141,10 @@ func TestConflictWithForcedAtomIsUnsat(t *testing.T) {
 	// Group a has one candidate a1; a1 conflicts with the only
 	// candidate of group b.
 	p := NewProblem()
-	ga := p.AddGroup("a")
-	gb := p.AddGroup("b")
-	a1 := p.AddAtom(ga, "a", "1", 0)
-	b1 := p.AddAtom(gb, "b", "1", 0)
+	ga := p.AddGroup()
+	a1 := p.AddAtom(ga, 0)
+	gb := p.AddGroup()
+	b1 := p.AddAtom(gb, 0)
 	p.AddConflict(a1, b1)
 	if _, err := p.Solve(); !errors.Is(err, ErrUnsat) {
 		t.Errorf("want ErrUnsat, got %v", err)
@@ -156,9 +162,9 @@ func TestBranchAndBoundOptimality(t *testing.T) {
 	p := NewProblem()
 	var atoms [3][3]AtomID
 	for i := 0; i < 3; i++ {
-		gi := p.AddGroup("x")
+		gi := p.AddGroup()
 		for j := 0; j < 3; j++ {
-			atoms[i][j] = p.AddAtom(gi, "x", "y", cost[i][j])
+			atoms[i][j] = p.AddAtom(gi, cost[i][j])
 		}
 	}
 	for j := 0; j < 3; j++ {
@@ -176,16 +182,6 @@ func TestBranchAndBoundOptimality(t *testing.T) {
 	// x0/x1 takes y2 (9). Total 9.
 	if sol.Cost != 9 {
 		t.Errorf("cost = %d, want 9", sol.Cost)
-	}
-}
-
-func TestRenderShowsProgram(t *testing.T) {
-	p, _ := buildAssignment(1, 0, 0, 1)
-	out := p.Render()
-	for _, want := range []string{"{ h(x1,y1); h(x1,y2) } = 1", ":- h(x1,y1), h(x2,y1).", "#minimize"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -209,10 +205,10 @@ func TestSolveAllCountsModels(t *testing.T) {
 	}
 	// Unsatisfiable: zero models.
 	q := NewProblem()
-	g1 := q.AddGroup("x1")
-	g2 := q.AddGroup("x2")
-	a1 := q.AddAtom(g1, "x1", "y", 0)
-	a2 := q.AddAtom(g2, "x2", "y", 0)
+	g1 := q.AddGroup()
+	a1 := q.AddAtom(g1, 0)
+	g2 := q.AddGroup()
+	a2 := q.AddAtom(g2, 0)
 	q.AddConflict(a1, a2)
 	if got := q.SolveAll(0, func(*Solution) bool { return true }); got != 0 {
 		t.Errorf("unsat models = %d", got)
@@ -233,4 +229,17 @@ func TestDeterministicSolutions(t *testing.T) {
 	if s1.Cost != s2.Cost || s1.Selected[0] != s2.Selected[0] || s1.Selected[1] != s2.Selected[1] {
 		t.Error("solver is not deterministic")
 	}
+}
+
+func TestAddAtomOnlyToNewestGroup(t *testing.T) {
+	p := NewProblem()
+	g1 := p.AddGroup()
+	p.AddAtom(g1, 0)
+	p.AddGroup()
+	defer func() {
+		if recover() == nil {
+			t.Error("AddAtom on an older group did not panic")
+		}
+	}()
+	p.AddAtom(g1, 0)
 }

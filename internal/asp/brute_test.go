@@ -1,7 +1,6 @@
 package asp
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +13,7 @@ import (
 // solver.
 func bruteMin(p *Problem) int {
 	n := p.NumGroups()
+	groups := groupLists(p)
 	selected := make([]AtomID, n)
 	best := -1
 	var rec func(g int)
@@ -23,7 +23,7 @@ func bruteMin(p *Problem) int {
 			chosen := map[AtomID]bool{}
 			for _, a := range selected {
 				chosen[a] = true
-				cost += p.Atom(a).Weight
+				cost += int(p.Atom(a).Weight)
 			}
 			for _, set := range p.sets {
 				n := 0
@@ -46,7 +46,7 @@ func bruteMin(p *Problem) int {
 			}
 			return
 		}
-		for _, a := range p.groups[g] {
+		for _, a := range groups[g] {
 			selected[g] = a
 			rec(g + 1)
 		}
@@ -83,8 +83,7 @@ func problemFromBytes(data []byte) *Problem {
 	byTarget := make([][]AtomID, nTargets)
 	var all []AtomID
 	for g := 0; g < nGroups; g++ {
-		x := fmt.Sprintf("x%d", g)
-		gi := p.AddGroup(x)
+		gi := p.AddGroup()
 		used := make([]bool, nTargets)
 		for c, n := 0, 1+next(nTargets); c < n; c++ {
 			y := next(nTargets)
@@ -92,7 +91,7 @@ func problemFromBytes(data []byte) *Problem {
 				continue
 			}
 			used[y] = true
-			a := p.AddAtom(gi, x, fmt.Sprintf("y%d", y), next(4))
+			a := p.AddAtom(gi, next(4))
 			byTarget[y] = append(byTarget[y], a)
 			all = append(all, a)
 		}

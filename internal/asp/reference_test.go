@@ -10,6 +10,7 @@ import "sort"
 
 type refState struct {
 	p         *Problem
+	groups    [][]AtomID // groups[g] = g's atoms
 	conflicts [][]AtomID // conflicts[a] = atoms that cannot hold with a
 	implies   [][]AtomID // implies[a] = atoms forced when a holds
 	alive     []bool     // per atom
@@ -25,10 +26,11 @@ type refState struct {
 func newRefState(p *Problem, optimize bool) *refState {
 	s := &refState{
 		p:         p,
+		groups:    groupLists(p),
 		conflicts: make([][]AtomID, len(p.atoms)),
 		implies:   make([][]AtomID, len(p.atoms)),
 		alive:     make([]bool, len(p.atoms)),
-		chosen:    make([]AtomID, len(p.groups)),
+		chosen:    make([]AtomID, p.NumGroups()),
 		optimize:  optimize,
 		bestCost:  int(^uint(0) >> 1),
 	}
@@ -57,7 +59,7 @@ func newRefState(p *Problem, optimize bool) *refState {
 // (optimize=true).
 func refSolve(p *Problem, optimize bool) (*Solution, error) {
 	s := newRefState(p, optimize)
-	for _, g := range p.groups {
+	for _, g := range s.groups {
 		if len(g) == 0 {
 			return nil, ErrUnsat
 		}
@@ -72,7 +74,7 @@ func refSolve(p *Problem, optimize bool) (*Solution, error) {
 // refSolveAll is the reference SolveAll.
 func refSolveAll(p *Problem, limit int, fn func(*Solution) bool) int {
 	s := newRefState(p, false)
-	for _, g := range p.groups {
+	for _, g := range s.groups {
 		if len(g) == 0 {
 			return 0
 		}
@@ -94,7 +96,7 @@ func refSolveAll(p *Problem, limit int, fn func(*Solution) bool) int {
 			return
 		}
 		var cands []AtomID
-		for _, a := range s.p.groups[gi] {
+		for _, a := range s.groups[gi] {
 			if s.alive[a] {
 				cands = append(cands, a)
 			}
@@ -118,14 +120,14 @@ func refSolveAll(p *Problem, limit int, fn func(*Solution) bool) int {
 
 func (s *refState) lowerBound() int {
 	lb := s.cost
-	for gi, g := range s.p.groups {
+	for gi, g := range s.groups {
 		if s.chosen[gi] >= 0 {
 			continue
 		}
 		minW := int(^uint(0) >> 1)
 		for _, a := range g {
-			if s.alive[a] && s.p.atoms[a].Weight < minW {
-				minW = s.p.atoms[a].Weight
+			if s.alive[a] && int(s.p.atoms[a].Weight) < minW {
+				minW = int(s.p.atoms[a].Weight)
 			}
 		}
 		lb += minW
@@ -135,7 +137,7 @@ func (s *refState) lowerBound() int {
 
 func (s *refState) pickGroup() int {
 	best, bestN := -1, int(^uint(0)>>1)
-	for gi, g := range s.p.groups {
+	for gi, g := range s.groups {
 		if s.chosen[gi] >= 0 {
 			continue
 		}
@@ -166,7 +168,7 @@ func (s *refState) search() {
 		return
 	}
 	var cands []AtomID
-	for _, a := range s.p.groups[gi] {
+	for _, a := range s.groups[gi] {
 		if s.alive[a] {
 			cands = append(cands, a)
 		}
@@ -205,9 +207,9 @@ func (s *refState) propagate(a AtomID) bool {
 		return false
 	}
 	s.chosen[at.Group] = a
-	s.cost += at.Weight
+	s.cost += int(at.Weight)
 	s.trail = append(s.trail, -a-1000000)
-	for _, other := range s.p.groups[at.Group] {
+	for _, other := range s.groups[at.Group] {
 		if other != a && s.alive[other] {
 			s.kill(other)
 		}
@@ -234,7 +236,7 @@ func (s *refState) propagate(a AtomID) bool {
 			return false
 		}
 	}
-	for gi, g := range s.p.groups {
+	for gi, g := range s.groups {
 		if s.chosen[gi] >= 0 {
 			continue
 		}
@@ -266,7 +268,7 @@ func (s *refState) undo() {
 		if x <= -1000000 {
 			at := s.p.atoms[AtomID(-(x + 1000000))]
 			s.chosen[at.Group] = -1
-			s.cost -= at.Weight
+			s.cost -= int(at.Weight)
 		} else {
 			s.alive[x] = true
 		}

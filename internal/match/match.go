@@ -48,18 +48,29 @@ var ErrNotSimilar = errors.New("match: graphs are not similar")
 // recording is monotonic so this indicates a failed/garbled trial.
 var ErrNoEmbedding = errors.New("match: no subgraph embedding exists")
 
-// encoding records, for each asp group, which G1 element it stands for.
-// Each atom's Y names the G2 element it maps onto.
+// encoding is a grounded matching problem of g1 into g2 with what its
+// groups and atoms stand for: group i is element i of g1's nodes then
+// edges, and atom a maps it onto element target[a] of g2's nodes then
+// edges.
 type encoding struct {
-	problem *asp.Problem
-	groupOf []graph.ElemID // group index -> G1 element
+	problem        *asp.Problem
+	nodes1, nodes2 []*graph.Node
+	edges1, edges2 []*graph.Edge
+	target         []int32 // per atom
+}
+
+// elemID returns the id of element i of nodes followed by edges.
+func elemID(nodes []*graph.Node, edges []*graph.Edge, i int) graph.ElemID {
+	if i < len(nodes) {
+		return nodes[i].ID
+	}
+	return edges[i-len(nodes)].ID
 }
 
 func (enc *encoding) decode(sol *asp.Solution) Mapping {
-	m := make(Mapping, len(enc.groupOf))
+	m := make(Mapping, len(sol.Selected))
 	for gi, a := range sol.Selected {
-		at := enc.problem.Atom(a)
-		m[enc.groupOf[gi]] = graph.ElemID(at.Y)
+		m[elemID(enc.nodes1, enc.edges1, gi)] = elemID(enc.nodes2, enc.edges2, int(enc.target[a]))
 	}
 	return m
 }
@@ -203,20 +214,20 @@ func mustInsertNode(g *graph.Graph, id graph.ElemID, label string, props graph.P
 type weightFunc func(a, b graph.Properties) int
 
 // propDiffWeight counts keys whose values disagree or exist on only one
-// side — the generalization objective.
+// side — the generalization objective. One walk over a counts the keys
+// of a missing from b (miss) and those with equal values in both (eq);
+// b's other len(b)-eq keys are missing from a or hold another value
+// there, and each of those is one disagreement.
 func propDiffWeight(a, b graph.Properties) int {
-	w := 0
+	miss, eq := 0, 0
 	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			w++
+		if bv, ok := b[k]; !ok {
+			miss++
+		} else if bv == v {
+			eq++
 		}
 	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			w++
-		}
-	}
-	return w
+	return miss + len(b) - eq
 }
 
 // subgraphCost counts properties of the background element with no
@@ -330,33 +341,26 @@ func labelDegrees(g *graph.Graph) map[graph.ElemID]map[degreeKey]int {
 // whose endpoints are candidates of the g1 edge's endpoints, each
 // implying those endpoint atoms; and one at-most-one set per g2 element
 // over the atoms mapping onto it (the injectivity rules :- X<>Y,
-// h(X,Z), h(Y,Z)).
+// h(X,Z), h(Y,Z)). It counts the candidates before adding any atom, so
+// the problem and the encoding are allocated once.
 func ground(g1, g2 *graph.Graph, nodeCands func(*graph.Node) []int32, wf weightFunc) (*encoding, error) {
-	p := asp.NewProblem()
-	enc := &encoding{problem: p}
-	nodes1, nodes2, edges2 := g1.Nodes(), g2.Nodes(), g2.Edges()
-	// usedBy lists the atoms mapping onto each g2 node, then each g2 edge.
-	usedBy := make([][]asp.AtomID, len(nodes2)+len(edges2))
+	enc := &encoding{nodes1: g1.Nodes(), nodes2: g2.Nodes(), edges1: g1.Edges(), edges2: g2.Edges()}
+	nodes1, nodes2, edges1, edges2 := enc.nodes1, enc.nodes2, enc.edges1, enc.edges2
 
 	// The atoms of g1 node i1 are first[i1], first[i1]+1, ... for the
 	// g2 nodes cands[i1], in that order.
 	cands := make([][]int32, len(nodes1))
 	first := make([]asp.AtomID, len(nodes1))
 	index1 := make(map[graph.ElemID]int32, len(nodes1))
+	nAtoms := 0
 	for i1, n1 := range nodes1 {
 		index1[n1.ID] = int32(i1)
-		gi := p.AddGroup("node " + string(n1.ID))
-		enc.groupOf = append(enc.groupOf, n1.ID)
 		cands[i1] = nodeCands(n1)
 		if len(cands[i1]) == 0 {
 			return nil, fmt.Errorf("node %s has no candidates", n1.ID)
 		}
-		first[i1] = asp.AtomID(p.NumAtoms())
-		for _, i2 := range cands[i1] {
-			n2 := nodes2[i2]
-			a := p.AddAtom(gi, string(n1.ID), string(n2.ID), wf(n1.Props, n2.Props))
-			usedBy[i2] = append(usedBy[i2], a)
-		}
+		first[i1] = asp.AtomID(nAtoms)
+		nAtoms += len(cands[i1])
 	}
 	nodeAtom := func(i1, i2 int32) (asp.AtomID, bool) {
 		k, found := slices.BinarySearch(cands[i1], i2)
@@ -373,30 +377,69 @@ func ground(g1, g2 *graph.Graph, nodeCands func(*graph.Node) []int32, wf weightF
 		edgesByLabel[e.Label] = append(edgesByLabel[e.Label], int32(j))
 		ends2[j] = [2]int32{index2[e.Src], index2[e.Tgt]}
 	}
-	for _, e1 := range g1.Edges() {
-		gi := p.AddGroup("edge " + string(e1.ID))
-		enc.groupOf = append(enc.groupOf, e1.ID)
+	// edgeCands emits g1 edge e1's candidates: each g2 edge j with the
+	// node atoms its endpoints map by. It runs twice, to count and to add.
+	edgeCands := func(e1 *graph.Edge, emit func(j int32, sa, ta asp.AtomID)) {
 		src, tgt := index1[e1.Src], index1[e1.Tgt]
-		any := false
 		for _, j := range edgesByLabel[e1.Label] {
 			sa, okS := nodeAtom(src, ends2[j][0])
 			ta, okT := nodeAtom(tgt, ends2[j][1])
-			if !okS || !okT {
-				continue
+			if okS && okT {
+				emit(j, sa, ta)
 			}
-			e2 := edges2[j]
-			a := p.AddAtom(gi, string(e1.ID), string(e2.ID), wf(e1.Props, e2.Props))
-			usedBy[len(nodes2)+int(j)] = append(usedBy[len(nodes2)+int(j)], a)
-			p.AddImplication(a, sa)
-			p.AddImplication(a, ta)
-			any = true
 		}
-		if !any {
+	}
+	nEdgeAtoms := 0
+	for _, e1 := range edges1 {
+		n := nEdgeAtoms
+		edgeCands(e1, func(int32, asp.AtomID, asp.AtomID) { nEdgeAtoms++ })
+		if nEdgeAtoms == n {
 			return nil, fmt.Errorf("edge %s has no candidates", e1.ID)
 		}
 	}
-	for _, atoms := range usedBy {
-		p.AddAtMostOne(atoms)
+	nAtoms += nEdgeAtoms
+
+	p := asp.NewProblem()
+	nTargets := len(nodes2) + len(edges2)
+	p.Grow(len(nodes1)+len(edges1), nAtoms, nTargets, 2*nEdgeAtoms)
+	enc.problem = p
+	enc.target = make([]int32, 0, nAtoms)
+	for i1, n1 := range nodes1 {
+		gi := p.AddGroup()
+		for _, i2 := range cands[i1] {
+			p.AddAtom(gi, wf(n1.Props, nodes2[i2].Props))
+			enc.target = append(enc.target, i2)
+		}
+	}
+	for _, e1 := range edges1 {
+		gi := p.AddGroup()
+		edgeCands(e1, func(j int32, sa, ta asp.AtomID) {
+			a := p.AddAtom(gi, wf(e1.Props, edges2[j].Props))
+			enc.target = append(enc.target, int32(len(nodes2))+j)
+			p.AddImplication(a, sa)
+			p.AddImplication(a, ta)
+		})
+	}
+
+	// Sort the atoms by target, keeping atom order within a target:
+	// end[t+1] counts t's atoms, the prefix sums move end[t] to where
+	// t's atoms start, and placing them moves it to where they end.
+	end := make([]int32, nTargets+1)
+	for _, t := range enc.target {
+		end[t+1]++
+	}
+	for t := 0; t < nTargets; t++ {
+		end[t+1] += end[t]
+	}
+	byTarget := make([]asp.AtomID, nAtoms)
+	for a, t := range enc.target {
+		byTarget[end[t]] = asp.AtomID(a)
+		end[t]++
+	}
+	lo := int32(0)
+	for _, hi := range end[:nTargets] {
+		p.AddAtMostOne(byTarget[lo:hi:hi])
+		lo = hi
 	}
 	return enc, nil
 }
