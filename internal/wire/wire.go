@@ -249,6 +249,11 @@ func DecodeMatrixResult(data []byte) (*MatrixResult, error) {
 		if err := m.Result.validate(); err != nil {
 			return nil, fmt.Errorf("wire: decode matrix result: %w", err)
 		}
+		// Consumers file the cell under its benchmark and render it under
+		// the result's. Tools may differ: alias spn records as spade.
+		if m.Result.Benchmark != m.Benchmark {
+			return nil, fmt.Errorf("wire: decode matrix result: cell %s/%s carries result %s/%s", m.Tool, m.Benchmark, m.Result.Tool, m.Result.Benchmark)
+		}
 		m.Result.normalize()
 	}
 	return &m, nil

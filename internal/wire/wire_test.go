@@ -110,8 +110,8 @@ func TestMatrixResultRoundTrip(t *testing.T) {
 	m := &MatrixResult{
 		Schema:    SchemaVersion,
 		Index:     3,
-		Tool:      "opus",
-		Benchmark: "open",
+		Tool:      "spade",
+		Benchmark: "creat",
 		Cell:      "abc123",
 		Cached:    true,
 		Result:    sampleResult(),
@@ -144,9 +144,36 @@ func TestMatrixResultRoundTrip(t *testing.T) {
 	if _, err := DecodeMatrixResult([]byte(`{"schema":1,"index":0,"tool":"t","benchmark":"b"}`)); err == nil {
 		t.Error("cell with neither result nor err accepted")
 	}
-	both, _ := EncodeMatrixResult(&MatrixResult{Schema: SchemaVersion, Tool: "t", Benchmark: "b", Result: sampleResult(), Err: "boom"})
+	both, _ := EncodeMatrixResult(&MatrixResult{Schema: SchemaVersion, Tool: "spade", Benchmark: "creat", Result: sampleResult(), Err: "boom"})
 	if _, err := DecodeMatrixResult(both); err == nil {
 		t.Error("cell with both result and err accepted")
+	}
+}
+
+// TestDecodeRejectsMisfiledResult: a cell must carry the result of its
+// own benchmark, or a consumer would store it under one name and render
+// it under another. Its tool may be an alias of the result's recorder.
+func TestDecodeRejectsMisfiledResult(t *testing.T) {
+	res := sampleResult()
+	res.Tool, res.Benchmark = "camflow", "close"
+	decode := func(tool, benchmark string) error {
+		cell := MatrixResult{Schema: SchemaVersion, Tool: tool, Benchmark: benchmark, Result: res}
+		data, err := EncodeMatrixResult(&cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeMatrixResult(data)
+		return err
+	}
+	for _, cell := range [][2]string{{"spade", "open"}, {"camflow", "open"}} {
+		if decode(cell[0], cell[1]) == nil {
+			t.Errorf("cell %s/%s carrying result camflow/close accepted", cell[0], cell[1])
+		}
+	}
+	for _, tool := range []string{"camflow", "cam"} {
+		if err := decode(tool, "close"); err != nil {
+			t.Errorf("cell %s/close carrying result camflow/close rejected: %v", tool, err)
+		}
 	}
 }
 
