@@ -4,7 +4,7 @@
 // once, and the measurements land in BENCH_<id>.json (schema
 // provmark/bench-snapshot/v1).
 //
-//	provmark-perf -o BENCH_10.json -gate 2
+//	provmark-perf -o BENCH_11.json -gate 2
 //
 // With -gate set, the run fails when any counter exceeds the checked-in
 // baseline by more than the given factor — the CI regression gate.
@@ -27,7 +27,7 @@ func main() {
 }
 
 func run() error {
-	out := flag.String("o", "BENCH_10.json", "snapshot path (- for stdout)")
+	out := flag.String("o", "BENCH_11.json", "snapshot path (- for stdout)")
 	gate := flag.Float64("gate", 0, "fail when a counter exceeds baseline*factor (0 disables the gate)")
 	flag.Parse()
 	if flag.NArg() != 0 {

@@ -28,8 +28,8 @@ import (
 // PerfSchema versions the snapshot document.
 const PerfSchema = "provmark/bench-snapshot/v1"
 
-// perfID numbers the snapshot artifact (BENCH_10.json).
-const perfID = 10
+// perfID numbers the snapshot artifact (BENCH_11.json).
+const perfID = 11
 
 // PerfResult is one workload's measurement.
 type PerfResult struct {

@@ -2,9 +2,9 @@ package bench
 
 // The README's "Raw speed" section carries the perf-snapshot table
 // between <!-- perf-snapshot:begin/end --> markers, rendered from the
-// checked-in BENCH_10.json (with per-workload speedups against the
-// BENCH_9.json it supersedes). This drift guard regenerates the block
-// from the artifacts and fails when the document and the numbers
+// checked-in BENCH_11.json (with per-workload allocation ratios against
+// the BENCH_10.json it supersedes). This drift guard regenerates the
+// block from the artifacts and fails when the document and the numbers
 // disagree — after re-committing a snapshot, paste the rendered block
 // from the failure message.
 
@@ -43,20 +43,24 @@ func renderCounters(c map[string]int64) string {
 	return strings.Join(parts, ", ")
 }
 
+// perfMarkdown renders cur as the README table. Its last column is each
+// row's allocs/op as a multiple of prev's: allocation counts move
+// little between runs and machines, whereas single-run ns/op figures
+// taken on different machines do not compare.
 func perfMarkdown(cur, prev *PerfSnapshot) string {
-	prevNs := map[string]int64{}
+	prevAllocs := map[string]uint64{}
 	for _, r := range prev.Results {
-		prevNs[r.Name] = r.NsOp
+		prevAllocs[r.Name] = r.AllocsOp
 	}
 	var b strings.Builder
-	b.WriteString("| workload | ns/op | allocs/op | counters | vs BENCH_9 |\n|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| workload | ns/op | allocs/op | counters | allocs vs BENCH_%d |\n|---|---|---|---|---|\n", prev.ID)
 	for _, r := range cur.Results {
-		speedup := "new"
-		if old, ok := prevNs[r.Name]; ok && r.NsOp > 0 {
-			speedup = fmt.Sprintf("%.1fx", float64(old)/float64(r.NsOp))
+		ratio := "new"
+		if old, ok := prevAllocs[r.Name]; ok && old > 0 {
+			ratio = fmt.Sprintf("%.2fx", float64(r.AllocsOp)/float64(old))
 		}
 		fmt.Fprintf(&b, "| %s | %s | %d | %s | %s |\n",
-			r.Name, renderNs(r.NsOp), r.AllocsOp, renderCounters(r.Counters), speedup)
+			r.Name, renderNs(r.NsOp), r.AllocsOp, renderCounters(r.Counters), ratio)
 	}
 	return b.String()
 }
@@ -73,8 +77,8 @@ func renderNs(ns int64) string {
 }
 
 func TestReadmePerfTableMatchesSnapshot(t *testing.T) {
-	cur := loadSnapshot(t, "../../BENCH_10.json")
-	prev := loadSnapshot(t, "../../BENCH_9.json")
+	cur := loadSnapshot(t, "../../BENCH_11.json")
+	prev := loadSnapshot(t, "../../BENCH_10.json")
 	if cur.ID != perfID {
 		t.Fatalf("checked-in snapshot id = %d, harness perfID = %d", cur.ID, perfID)
 	}
@@ -92,7 +96,7 @@ func TestReadmePerfTableMatchesSnapshot(t *testing.T) {
 	got := strings.TrimSpace(doc[i+len(begin) : j])
 	want := strings.TrimSpace(perfMarkdown(cur, prev))
 	if got != want {
-		t.Errorf("README perf table drifted from BENCH_10.json.\n--- README ---\n%s\n--- snapshot ---\n%s", got, want)
+		t.Errorf("README perf table drifted from BENCH_11.json.\n--- README ---\n%s\n--- snapshot ---\n%s", got, want)
 	}
 }
 
@@ -104,7 +108,10 @@ func TestReadmePerfTableMatchesSnapshot(t *testing.T) {
 // >=100x WL allocation drop; BENCH_10.json, which only retires the
 // naive-flat and wl-refine/legacy rows, claims its own gate and every
 // remaining row's counters unchanged from BENCH_9 (so the parity
-// carries over).
+// carries over). BENCH_11.json claims the same against BENCH_10, and
+// that the flat-array matching kernel cuts the bytes the symmetric
+// similarity classes allocate: that row's 28 solves go through the
+// solver's grounding.
 func TestCheckedInSnapshotHoldsTheClaims(t *testing.T) {
 	cur := loadSnapshot(t, "../../BENCH_9.json")
 	prev := loadSnapshot(t, "../../BENCH_8.json")
@@ -135,21 +142,44 @@ func TestCheckedInSnapshotHoldsTheClaims(t *testing.T) {
 	}
 
 	next := loadSnapshot(t, "../../BENCH_10.json")
-	if next.Schema != PerfSchema || next.ID != perfID || len(next.Results) != len(perfBaselines) {
-		t.Errorf("BENCH_10.json header = %q id %d with %d results, want %q id %d with %d",
-			next.Schema, next.ID, len(next.Results), PerfSchema, perfID, len(perfBaselines))
+	checkSameCounters(t, next, 10, cur)
+	last := loadSnapshot(t, "../../BENCH_11.json")
+	checkSameCounters(t, last, perfID, next)
+	const sym = "classify/similarity/sym-32x4"
+	if now, old := resultByName(last, sym).BytesOp, resultByName(next, sym).BytesOp; now <= 0 || now >= old {
+		t.Errorf("%s: BENCH_11 %d bytes/op, BENCH_10 %d — the kernel's allocations did not fall", sym, now, old)
+	}
+}
+
+// checkSameCounters asserts that snapshot next has the given id, one row
+// per baseline, every row's counters equal to prev's and its own gate.
+func checkSameCounters(t *testing.T, next *PerfSnapshot, id int, prev *PerfSnapshot) {
+	t.Helper()
+	if next.Schema != PerfSchema || next.ID != id || len(next.Results) != len(perfBaselines) {
+		t.Errorf("BENCH_%d.json header = %q id %d with %d results, want %q id %d with %d",
+			id, next.Schema, next.ID, len(next.Results), PerfSchema, id, len(perfBaselines))
 	}
 	for _, r := range next.Results {
-		old, ok := curBy[r.Name]
-		if !ok {
-			t.Errorf("BENCH_10.json row %s is not in BENCH_9.json", r.Name)
+		old := resultByName(prev, r.Name)
+		if old == nil {
+			t.Errorf("BENCH_%d.json row %s is not in BENCH_%d.json", id, r.Name, prev.ID)
 			continue
 		}
 		if got, want := renderCounters(r.Counters), renderCounters(old.Counters); got != want {
-			t.Errorf("%s: BENCH_10 counters %s, BENCH_9 %s", r.Name, got, want)
+			t.Errorf("%s: BENCH_%d counters %s, BENCH_%d %s", r.Name, id, got, prev.ID, want)
 		}
 	}
 	if err := next.Gate(2); err != nil {
-		t.Errorf("BENCH_10.json fails its own gate: %v", err)
+		t.Errorf("BENCH_%d.json fails its own gate: %v", id, err)
 	}
+}
+
+// resultByName returns snap's row of that name, or nil.
+func resultByName(snap *PerfSnapshot, name string) *PerfResult {
+	for i := range snap.Results {
+		if snap.Results[i].Name == name {
+			return &snap.Results[i]
+		}
+	}
+	return nil
 }
