@@ -405,15 +405,16 @@ func (s *state) search() bool {
 	defer s.popCandidates(cands)
 	lb, haveLB := 0, false
 	for _, a := range cands {
-		// Cut the remaining siblings by the bound. Choosing a adds its
-		// weight, and the weights of the atoms it implies, in place of
-		// the open groups' least alive weights, and it only kills atoms
-		// elsewhere; so the child's bound is at least this level's
-		// bound lb minus gi's least weight (that of its head, cands[0])
-		// plus a's weight. When that sum reaches bestCost the child
-		// would be pruned on entry, and so would every later candidate,
-		// which is at least as heavy. lb is taken with the children
-		// undone, and undo restores this level's state exactly.
+		// Cut the remaining siblings by the bound. Choosing a replaces
+		// gi's least alive weight (its head's, cands[0]) by a's, the
+		// least alive weight of each group an implied atom settles by
+		// that atom's (no lighter, as it is alive here), and only kills
+		// atoms of the other open groups, which cannot lower their
+		// least weights. So the child's bound is at least
+		// lb - weight(cands[0]) + weight(a); once that reaches bestCost
+		// the child would be pruned on entry, and so would every later
+		// candidate, which is at least as heavy. lb is this level's
+		// bound, and undo restores this level's state after each child.
 		if s.optimize && s.best != nil {
 			if !haveLB {
 				lb, haveLB = s.lowerBound(), true
