@@ -6,8 +6,8 @@
 //
 //   - cardinality-1 choice rules  {h(X,Y) : ...} = 1 :- item(X)
 //     become selection groups: exactly one atom per group is true;
-//   - the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) become at-most-one
-//     sets, one per target element Z;
+//   - the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) become each atom's
+//     target Z: no two selected atoms may share a target;
 //   - constraints of the form :- h(E1,E2), not h(X,Y) (edge endpoint
 //     preservation) become implications h(E1,E2) -> h(X,Y);
 //   - #minimize { PC,X,K : cost(X,K,PC) } becomes per-atom integer
@@ -17,9 +17,10 @@
 // whose labels disagree are simply never generated, exactly as a
 // grounder would delete rules with unsatisfiable bodies.
 //
-// A ground problem carries no names: an atom is its group and weight,
-// a group's atoms are one contiguous range of the atom array, and the
-// caller keeps what each atom stands for.
+// A ground problem carries no names: an atom is its group, target and
+// weight; a group's atoms are one contiguous range of the atom array,
+// an atom's implications one contiguous range of the implication
+// array; and the caller keeps what each group and target stands for.
 //
 // The solver is a depth-first search with unit propagation and
 // branch-and-bound pruning on the weight objective. It branches on the
@@ -27,17 +28,18 @@
 // ties) and, under SolveMin, tries them cheapest first, stopping at
 // the first candidate whose child the bound would prune on entry.
 // Selecting an atom kills the other candidates of its group and the
-// other members of its at-most-one sets, then selects the atoms it
-// implies, recursively; the selection fails when it contradicts an
-// earlier one or leaves some group without a candidate. Every kill and
-// selection goes on a trail that backtracking unwinds. The search keeps each group's count of
-// alive candidates, the number of groups left with none, and under
-// SolveMin each open group's cheapest alive candidate, updating them as
-// atoms die and revive; so picking a group, detecting a wiped-out group
-// and computing the bound never rescan the atoms. The search state is
-// sized from the problem once per solve. The search is deterministic:
-// given the same problem it makes the same choices in the same order,
-// and Solution.Nodes reports how many search nodes it visited.
+// other atoms of its target, then selects the atoms it implies,
+// recursively; the selection fails when it contradicts an earlier one
+// or leaves some group without a candidate. Every kill and selection
+// goes on a trail that backtracking unwinds. The search keeps each
+// group's count of alive candidates, the number of groups left with
+// none, and under SolveMin each open group's cheapest alive candidate,
+// updating them as atoms die and revive; so picking a group, detecting
+// a wiped-out group and computing the bound never rescan the atoms. The
+// search state is sized from the problem, and the atoms sorted by
+// target, once per solve. The search is deterministic: given the same
+// problem it makes the same choices in the same order, and
+// Solution.Nodes reports how many search nodes it visited.
 package asp
 
 import (
@@ -51,34 +53,37 @@ import (
 // AtomID indexes an atom within a Problem.
 type AtomID int32
 
-// Atom is one ground instance h(X, Y) of the matching relation; the
-// caller that grounds it knows which X and Y it stands for.
+// Atom is one ground instance h(X, Y) of the matching relation: X is
+// its group and Y its target. The caller that grounds it knows which X
+// and Y those numbers stand for.
 type Atom struct {
 	Group  int32 // selection group this atom belongs to
+	Target int32 // no two selected atoms may share a target
 	Weight int32 // objective contribution when selected
 }
 
 // Problem is a ground matching program.
 type Problem struct {
 	atoms   []Atom
-	bounds  []int32     // group g's atoms are bounds[g] up to bounds[g+1]
-	sets    [][]AtomID  // at most one atom per set may hold
-	implies [][2]AtomID // {a, b}: selecting a forces selecting b
+	bounds  []int32  // group g's atoms are bounds[g] up to bounds[g+1]
+	implied []AtomID // atom a implies implied[impBounds[a]:impBounds[a+1]]
+	// impBounds has one entry per atom plus a leading 0.
+	impBounds []int32
 }
 
 // NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	return &Problem{bounds: []int32{0}}
+	return &Problem{bounds: []int32{0}, impBounds: []int32{0}}
 }
 
-// Grow reserves room for the given numbers of further groups, atoms,
-// at-most-one sets and implications, so that a caller who counts them
-// first fills the problem without reallocating.
-func (p *Problem) Grow(groups, atoms, sets, implications int) {
+// Grow reserves room for the given numbers of further groups, atoms
+// and implications, so that a caller who counts them first fills the
+// problem without reallocating.
+func (p *Problem) Grow(groups, atoms, implications int) {
 	p.bounds = slices.Grow(p.bounds, groups)
 	p.atoms = slices.Grow(p.atoms, atoms)
-	p.sets = slices.Grow(p.sets, sets)
-	p.implies = slices.Grow(p.implies, implications)
+	p.impBounds = slices.Grow(p.impBounds, atoms)
+	p.implied = slices.Grow(p.implied, implications)
 }
 
 // AddGroup creates a selection group (one X that must be matched) and
@@ -88,15 +93,18 @@ func (p *Problem) AddGroup() int {
 	return len(p.bounds) - 2
 }
 
-// AddAtom adds a candidate atom to group, which must be the newest
-// group, and returns its id.
-func (p *Problem) AddAtom(group, weight int) AtomID {
+// AddAtom adds a candidate atom mapping group, which must be the newest
+// group, onto target, and returns its id. Targets are small
+// non-negative integers, such as indices of the elements they stand
+// for; a target no other atom has leaves the atom unconstrained.
+func (p *Problem) AddAtom(group, target, weight int) AtomID {
 	if group != len(p.bounds)-2 {
 		panic("asp: AddAtom on a group other than the newest")
 	}
 	id := AtomID(len(p.atoms))
-	p.atoms = append(p.atoms, Atom{Group: int32(group), Weight: int32(weight)})
+	p.atoms = append(p.atoms, Atom{Group: int32(group), Target: int32(target), Weight: int32(weight)})
 	p.bounds[group+1]++
+	p.impBounds = append(p.impBounds, int32(len(p.implied)))
 	return id
 }
 
@@ -105,24 +113,23 @@ func (p *Problem) span(g int) (lo, hi AtomID) {
 	return AtomID(p.bounds[g]), AtomID(p.bounds[g+1])
 }
 
-// AddAtMostOne forbids any two of the given distinct atoms from holding
-// together: the injectivity rules :- X<>Y, h(X,Z), h(Y,Z) ground to one
-// such set per target element Z. The problem keeps the slice, so the
-// caller must not modify it afterwards.
-func (p *Problem) AddAtMostOne(atoms []AtomID) {
-	if len(atoms) > 1 {
-		p.sets = append(p.sets, atoms)
-	}
-}
-
-// AddImplication records that selecting a forces selecting b.
+// AddImplication records that selecting a forces selecting b. a must
+// be the newest atom and b an existing one, so each atom's implications
+// are one contiguous range.
 func (p *Problem) AddImplication(a, b AtomID) {
-	p.implies = append(p.implies, [2]AtomID{a, b})
+	if int(a) != len(p.atoms)-1 || b < 0 || b > a {
+		panic("asp: AddImplication from an atom other than the newest")
+	}
+	p.implied = append(p.implied, b)
+	p.impBounds[a+1]++
 }
 
-// Implications returns the {a, b} pairs recorded by AddImplication, in
-// insertion order. The slice is shared and must not be modified.
-func (p *Problem) Implications() [][2]AtomID { return p.implies }
+// Implied returns the atoms that selecting a forces, in the order
+// AddImplication recorded them. The slice is shared and must not be
+// modified.
+func (p *Problem) Implied(a AtomID) []AtomID {
+	return p.implied[p.impBounds[a]:p.impBounds[a+1]]
+}
 
 // Atom returns the atom with the given id.
 func (p *Problem) Atom(id AtomID) Atom { return p.atoms[id] }
@@ -187,15 +194,17 @@ func (p *Problem) SolveAll(limit int, fn func(*Solution) bool) int {
 // derived from them are updated as atoms die and revive, so no search
 // step rescans the atoms.
 type state struct {
-	p       *Problem
-	sets    byAtom   // at-most-one sets containing each atom
-	implies byAtom   // atoms each atom's selection forces
-	alive   []bool   // per atom
-	chosen  []AtomID // per group, -1 if open
-	nAlive  []int32  // per group: alive candidates
-	empty   int      // groups with no alive candidate
-	cost    int
-	trail   []AtomID // killed atoms, and ^a for each selection of a
+	p *Problem
+	// byTarget lists the atoms sorted by target, in id order within a
+	// target: target t's are byTarget[targetStart[t]:targetStart[t+1]].
+	byTarget    []AtomID
+	targetStart []int32
+	alive       []bool   // per atom
+	chosen      []AtomID // per group, -1 if open
+	nAlive      []int32  // per group: alive candidates
+	empty       int      // groups with no alive candidate
+	cost        int
+	trail       []AtomID // killed atoms, and ^a for each selection of a
 	// Under SolveMin only: order lists every group's atoms stably
 	// sorted by weight, in the group's own range of the atom array.
 	// While g is open, order[head[g]] is its first alive atom there,
@@ -217,35 +226,6 @@ type headUndo struct{ group, head int32 }
 
 // mark records the trail lengths at a choice point.
 type mark struct{ trail, headTrail int32 }
-
-// byAtom lists values per atom, in insertion order: atom a's values are
-// vals[start[a]:start[a+1]].
-type byAtom struct {
-	start []int32
-	vals  []int32
-}
-
-// indexByAtom builds a byAtom over n atoms from the pairs each emits;
-// each is called twice and must emit the same pairs both times.
-func indexByAtom(n int, each func(emit func(a AtomID, v int32))) byAtom {
-	x := byAtom{start: make([]int32, n+1)}
-	each(func(a AtomID, _ int32) { x.start[a+1]++ })
-	for a := 0; a < n; a++ {
-		x.start[a+1] += x.start[a]
-	}
-	x.vals = make([]int32, x.start[n])
-	// Filling moves start[a] to the end of a's values, which is where
-	// a+1's begin; shifting by one afterwards restores the starts.
-	each(func(a AtomID, v int32) {
-		x.vals[x.start[a]] = v
-		x.start[a]++
-	})
-	copy(x.start[1:], x.start[:n])
-	x.start[0] = 0
-	return x
-}
-
-func (x byAtom) of(a AtomID) []int32 { return x.vals[x.start[a]:x.start[a+1]] }
 
 // emptyGroup returns the first group with no candidates, or -1.
 func (p *Problem) emptyGroup() int {
@@ -273,18 +253,26 @@ func (p *Problem) newState(optimize bool) *state {
 		optimize: optimize,
 		bestCost: int(^uint(0) >> 1),
 	}
-	s.sets = indexByAtom(n, func(emit func(AtomID, int32)) {
-		for si, set := range p.sets {
-			for _, a := range set {
-				emit(a, int32(si))
-			}
-		}
-	})
-	s.implies = indexByAtom(n, func(emit func(AtomID, int32)) {
-		for _, imp := range p.implies {
-			emit(imp[0], int32(imp[1]))
-		}
-	})
+	// Sort the atoms by target with a counting sort. Counting t's atoms
+	// into targetStart[t+2] and summing makes targetStart[t+1] the
+	// first slot of t's; placing them moves it to their end, which is
+	// where t+1's begin, so afterwards t's start at targetStart[t].
+	targets := int32(0)
+	for _, at := range p.atoms {
+		targets = max(targets, at.Target+1)
+	}
+	s.targetStart = make([]int32, targets+2)
+	for _, at := range p.atoms {
+		s.targetStart[at.Target+2]++
+	}
+	for t := 2; t < len(s.targetStart); t++ {
+		s.targetStart[t] += s.targetStart[t-1]
+	}
+	s.byTarget = make([]AtomID, n)
+	for a, at := range p.atoms {
+		s.byTarget[s.targetStart[at.Target+1]] = AtomID(a)
+		s.targetStart[at.Target+1]++
+	}
 	for i := range s.alive {
 		s.alive[i] = true
 	}
@@ -436,8 +424,8 @@ func (s *state) search() bool {
 }
 
 // choose selects atom a and propagates: kill the group's other
-// candidates, kill every atom sharing an at-most-one set with a, and
-// force implications (recursively). It returns false if propagation
+// candidates, kill every other atom of a's target, and force
+// implications (recursively). It returns false if propagation
 // wipes out some group or contradicts an earlier choice; the caller
 // must still undo.
 func (s *state) choose(a AtomID) bool {
@@ -462,21 +450,16 @@ func (s *state) propagate(a AtomID) bool {
 			s.kill(other)
 		}
 	}
-	for _, si := range s.sets.of(a) {
-		for _, b := range s.p.sets[si] {
-			if b == a {
-				continue
-			}
-			if s.chosen[s.p.atoms[b].Group] == b {
-				return false // at most one of the set may hold
-			}
-			if s.alive[b] {
-				s.kill(b)
-			}
+	// Selecting an atom kills the rest of its target, so while a is
+	// alive no atom of its target is selected, and killing the rest
+	// keeps targets injective.
+	t := at.Target
+	for _, b := range s.byTarget[s.targetStart[t]:s.targetStart[t+1]] {
+		if b != a && s.alive[b] {
+			s.kill(b)
 		}
 	}
-	for _, v := range s.implies.of(a) {
-		imp := AtomID(v)
+	for _, imp := range s.p.Implied(a) {
 		ig := s.p.atoms[imp].Group
 		if s.chosen[ig] == imp {
 			continue

@@ -5,24 +5,16 @@ import (
 	"testing"
 )
 
-// AddConflict forbids a and b from holding together: a two-atom
-// at-most-one set.
-func (p *Problem) AddConflict(a, b AtomID) {
-	p.AddAtMostOne([]AtomID{a, b})
-}
-
 // buildAssignment makes a problem with two groups x1, x2 and candidates
-// y1, y2 for each, plus the injectivity conflicts of a matching.
+// y1, y2 (targets 0 and 1) for each.
 func buildAssignment(w11, w12, w21, w22 int) (*Problem, [4]AtomID) {
 	p := NewProblem()
 	g1 := p.AddGroup()
-	a11 := p.AddAtom(g1, w11)
-	a12 := p.AddAtom(g1, w12)
+	a11 := p.AddAtom(g1, 0, w11)
+	a12 := p.AddAtom(g1, 1, w12)
 	g2 := p.AddGroup()
-	a21 := p.AddAtom(g2, w21)
-	a22 := p.AddAtom(g2, w22)
-	p.AddConflict(a11, a21) // both map to y1
-	p.AddConflict(a12, a22) // both map to y2
+	a21 := p.AddAtom(g2, 0, w21)
+	a22 := p.AddAtom(g2, 1, w22)
 	return p, [4]AtomID{a11, a12, a21, a22}
 }
 
@@ -61,7 +53,7 @@ func TestSolveMinForcedExpensiveChoice(t *testing.T) {
 	// reported faithfully.
 	p := NewProblem()
 	g1 := p.AddGroup()
-	a := p.AddAtom(g1, 7)
+	a := p.AddAtom(g1, 0, 7)
 	sol, err := p.SolveMin()
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +75,9 @@ func TestUnsatByConflicts(t *testing.T) {
 	// Two groups, one shared candidate each: pigeonhole.
 	p := NewProblem()
 	g1 := p.AddGroup()
-	a1 := p.AddAtom(g1, 0)
+	p.AddAtom(g1, 0, 0)
 	g2 := p.AddGroup()
-	a2 := p.AddAtom(g2, 0)
-	p.AddConflict(a1, a2)
+	p.AddAtom(g2, 0, 0)
 	if _, err := p.Solve(); !errors.Is(err, ErrUnsat) {
 		t.Errorf("want ErrUnsat, got %v", err)
 	}
@@ -96,10 +87,10 @@ func TestImplicationsPropagate(t *testing.T) {
 	// Selecting e->f forces x->y; x->z conflicts with that.
 	p := NewProblem()
 	gx := p.AddGroup()
-	xy := p.AddAtom(gx, 1)
-	xz := p.AddAtom(gx, 0)
+	xy := p.AddAtom(gx, 0, 1)
+	xz := p.AddAtom(gx, 1, 0)
 	ge := p.AddGroup()
-	ef := p.AddAtom(ge, 0)
+	ef := p.AddAtom(ge, 2, 0)
 	p.AddImplication(ef, xy)
 	sol, err := p.SolveMin()
 	if err != nil {
@@ -116,16 +107,18 @@ func TestImplicationsPropagate(t *testing.T) {
 func TestChainedImplications(t *testing.T) {
 	p := NewProblem()
 	// b and c get a second candidate so they are not forced trivially.
-	ga := p.AddGroup()
-	a1 := p.AddAtom(ga, 0)
-	gb := p.AddGroup()
-	b1 := p.AddAtom(gb, 0)
-	p.AddAtom(gb, 0)
+	// An atom implies only earlier atoms, so the chain a1 -> b1 -> c1
+	// is built from its end.
 	gc := p.AddGroup()
-	c1 := p.AddAtom(gc, 0)
-	p.AddAtom(gc, 0)
-	p.AddImplication(a1, b1)
+	c1 := p.AddAtom(gc, 0, 0)
+	p.AddAtom(gc, 1, 0)
+	gb := p.AddGroup()
+	b1 := p.AddAtom(gb, 2, 0)
 	p.AddImplication(b1, c1)
+	p.AddAtom(gb, 3, 0)
+	ga := p.AddGroup()
+	a1 := p.AddAtom(ga, 4, 0)
+	p.AddImplication(a1, b1)
 	sol, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -138,14 +131,13 @@ func TestChainedImplications(t *testing.T) {
 }
 
 func TestConflictWithForcedAtomIsUnsat(t *testing.T) {
-	// Group a has one candidate a1; a1 conflicts with the only
+	// Group a has one candidate a1; a1 shares its target with the only
 	// candidate of group b.
 	p := NewProblem()
 	ga := p.AddGroup()
-	a1 := p.AddAtom(ga, 0)
+	p.AddAtom(ga, 0, 0)
 	gb := p.AddGroup()
-	b1 := p.AddAtom(gb, 0)
-	p.AddConflict(a1, b1)
+	p.AddAtom(gb, 0, 0)
 	if _, err := p.Solve(); !errors.Is(err, ErrUnsat) {
 		t.Errorf("want ErrUnsat, got %v", err)
 	}
@@ -164,14 +156,7 @@ func TestBranchAndBoundOptimality(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		gi := p.AddGroup()
 		for j := 0; j < 3; j++ {
-			atoms[i][j] = p.AddAtom(gi, cost[i][j])
-		}
-	}
-	for j := 0; j < 3; j++ {
-		for i1 := 0; i1 < 3; i1++ {
-			for i2 := i1 + 1; i2 < 3; i2++ {
-				p.AddConflict(atoms[i1][j], atoms[i2][j])
-			}
+			atoms[i][j] = p.AddAtom(gi, j, cost[i][j])
 		}
 	}
 	sol, err := p.SolveMin()
@@ -205,11 +190,8 @@ func TestSolveAllCountsModels(t *testing.T) {
 	}
 	// Unsatisfiable: zero models.
 	q := NewProblem()
-	g1 := q.AddGroup()
-	a1 := q.AddAtom(g1, 0)
-	g2 := q.AddGroup()
-	a2 := q.AddAtom(g2, 0)
-	q.AddConflict(a1, a2)
+	q.AddAtom(q.AddGroup(), 0, 0)
+	q.AddAtom(q.AddGroup(), 0, 0)
 	if got := q.SolveAll(0, func(*Solution) bool { return true }); got != 0 {
 		t.Errorf("unsat models = %d", got)
 	}
@@ -234,12 +216,37 @@ func TestDeterministicSolutions(t *testing.T) {
 func TestAddAtomOnlyToNewestGroup(t *testing.T) {
 	p := NewProblem()
 	g1 := p.AddGroup()
-	p.AddAtom(g1, 0)
+	p.AddAtom(g1, 0, 0)
 	p.AddGroup()
 	defer func() {
 		if recover() == nil {
 			t.Error("AddAtom on an older group did not panic")
 		}
 	}()
-	p.AddAtom(g1, 0)
+	p.AddAtom(g1, 1, 0)
+}
+
+func TestAddImplicationOnlyFromNewestAtom(t *testing.T) {
+	p := NewProblem()
+	g := p.AddGroup()
+	a := p.AddAtom(g, 0, 0)
+	b := p.AddAtom(p.AddGroup(), 1, 0)
+	p.AddImplication(b, a)
+	p.AddImplication(b, b)
+	if got := p.Implied(b); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Errorf("Implied(b) = %v, want [%d %d]", got, a, b)
+	}
+	if got := p.Implied(a); len(got) != 0 {
+		t.Errorf("Implied(a) = %v, want none", got)
+	}
+	for _, imp := range [][2]AtomID{{a, b}, {a, a}, {b, b + 1}, {b, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddImplication(%d, %d) did not panic", imp[0], imp[1])
+				}
+			}()
+			p.AddImplication(imp[0], imp[1])
+		}()
+	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // bruteMin enumerates every complete selection (one atom per group) and
-// returns the minimum cost among those satisfying all at-most-one sets
-// (conflicts included) and implications, or -1 when unsatisfiable.
+// returns the minimum cost among those whose atoms have distinct
+// targets and whose implications hold, or -1 when unsatisfiable.
 // Exponential — used only on tiny random instances as an oracle for the
 // solver.
 func bruteMin(p *Problem) int {
@@ -21,24 +21,21 @@ func bruteMin(p *Problem) int {
 		if g == n {
 			cost := 0
 			chosen := map[AtomID]bool{}
+			targets := map[int32]bool{}
 			for _, a := range selected {
 				chosen[a] = true
 				cost += int(p.Atom(a).Weight)
+				t := p.Atom(a).Target
+				if targets[t] {
+					return
+				}
+				targets[t] = true
 			}
-			for _, set := range p.sets {
-				n := 0
-				for _, a := range set {
-					if chosen[a] {
-						n++
+			for _, a := range selected {
+				for _, b := range p.Implied(a) {
+					if !chosen[b] {
+						return
 					}
-				}
-				if n > 1 {
-					return
-				}
-			}
-			for _, imp := range p.implies {
-				if chosen[imp[0]] && !chosen[imp[1]] {
-					return
 				}
 			}
 			if best < 0 || cost < best {
@@ -63,11 +60,10 @@ func randomProblem(rng *rand.Rand) *Problem {
 }
 
 // problemFromBytes builds a small instance from a byte string, reading
-// zeros once the bytes run out: groups of candidates over a few
-// targets; injectivity over each shared target given as one
-// at-most-one set, as pairwise conflicts, or not at all; a few extra
-// at-most-one sets over arbitrary distinct atoms; and a few
-// implications between atoms of different groups.
+// zeros once the bytes run out: groups of candidates, each mapping onto
+// one of a few shared targets or onto a fresh target no other atom has
+// (which leaves it unconstrained), and each implying a few atoms of
+// earlier groups, so implications can chain.
 func problemFromBytes(data []byte) *Problem {
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -79,50 +75,21 @@ func problemFromBytes(data []byte) *Problem {
 	}
 	p := NewProblem()
 	nGroups := 1 + next(5)
-	nTargets := 2 + next(4)
-	byTarget := make([][]AtomID, nTargets)
-	var all []AtomID
+	shared := 1 + next(4)
+	fresh := shared
 	for g := 0; g < nGroups; g++ {
 		gi := p.AddGroup()
-		used := make([]bool, nTargets)
-		for c, n := 0, 1+next(nTargets); c < n; c++ {
-			y := next(nTargets)
-			if used[y] {
-				continue
+		earlier := p.NumAtoms()
+		for c, n := 0, 1+next(4); c < n; c++ {
+			target := next(shared + 1)
+			if target == shared {
+				target = fresh
+				fresh++
 			}
-			used[y] = true
-			a := p.AddAtom(gi, next(4))
-			byTarget[y] = append(byTarget[y], a)
-			all = append(all, a)
-		}
-	}
-	for _, atoms := range byTarget {
-		switch next(3) {
-		case 0:
-			p.AddAtMostOne(atoms)
-		case 1:
-			for i := 0; i < len(atoms); i++ {
-				for j := i + 1; j < len(atoms); j++ {
-					p.AddConflict(atoms[i], atoms[j])
-				}
+			a := p.AddAtom(gi, target, next(4))
+			for i, m := 0, next(3); i < m && earlier > 0; i++ {
+				p.AddImplication(a, AtomID(next(earlier)))
 			}
-		}
-	}
-	for i, n := 0, next(3); i < n; i++ {
-		var set []AtomID
-		seen := map[AtomID]bool{}
-		for k, m := 0, 2+next(3); k < m; k++ {
-			if a := all[next(len(all))]; !seen[a] {
-				seen[a] = true
-				set = append(set, a)
-			}
-		}
-		p.AddAtMostOne(set)
-	}
-	for i, n := 0, next(4); i < n; i++ {
-		a, b := all[next(len(all))], all[next(len(all))]
-		if p.Atom(a).Group != p.Atom(b).Group {
-			p.AddImplication(a, b)
 		}
 	}
 	return p

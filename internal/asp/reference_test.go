@@ -3,8 +3,8 @@ package asp
 import "sort"
 
 // The frozen reference solver: the search as it stood before the
-// incremental bookkeeping and the at-most-one sets. It expands every set
-// into pairwise conflicts, keeps implications per atom, and rescans all
+// incremental bookkeeping and the at-most-one sets. It expands every
+// shared target into pairwise conflicts, keeps implications per atom, and rescans all
 // atoms in propagate, pickGroup and lowerBound. The differential tests hold the production solver to
 // taking exactly its decisions: the same Selected, Cost and model order.
 
@@ -34,17 +34,13 @@ func newRefState(p *Problem, optimize bool) *refState {
 		optimize:  optimize,
 		bestCost:  int(^uint(0) >> 1),
 	}
-	for _, set := range p.sets {
-		for i, a := range set {
-			for j, b := range set {
-				if i != j {
-					s.conflicts[a] = append(s.conflicts[a], b)
-				}
+	for a, at := range p.atoms {
+		for b, bt := range p.atoms {
+			if a != b && at.Target == bt.Target {
+				s.conflicts[a] = append(s.conflicts[a], AtomID(b))
 			}
 		}
-	}
-	for _, imp := range p.implies {
-		s.implies[imp[0]] = append(s.implies[imp[0]], imp[1])
+		s.implies[a] = p.Implied(AtomID(a))
 	}
 	for i := range s.alive {
 		s.alive[i] = true

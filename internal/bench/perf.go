@@ -353,7 +353,7 @@ func wlInternedWorkload(graphs []*graph.Graph) (map[string]int64, error) {
 	start := graph.FingerprintComputations()
 	distinct := map[string]struct{}{}
 	for _, g := range graphs {
-		distinct[graph.ShapeFingerprint(g)] = struct{}{}
+		distinct[g.Fingerprint()] = struct{}{}
 	}
 	return map[string]int64{
 		"fingerprints":          int64(graph.FingerprintComputations() - start),

@@ -163,12 +163,12 @@ func TestJitterProducesDistinctStructure(t *testing.T) {
 	if jittered.Size() <= clean.Size() {
 		t.Errorf("jittered trial (%d) not larger than clean (%d)", jittered.Size(), clean.Size())
 	}
-	if graph.ShapeFingerprint(clean) == graph.ShapeFingerprint(jittered) {
+	if clean.Fingerprint() == jittered.Fingerprint() {
 		t.Error("jitter did not change structure")
 	}
 	// Two clean trials agree.
 	clean2 := record(t, cfg, prog, benchprog.Foreground, 1)
-	if graph.ShapeFingerprint(clean) != graph.ShapeFingerprint(clean2) {
+	if clean.Fingerprint() != clean2.Fingerprint() {
 		t.Error("clean trials disagree")
 	}
 }

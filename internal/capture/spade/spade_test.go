@@ -209,7 +209,7 @@ func TestVersioningCreatesArtifactVersions(t *testing.T) {
 func TestVolatilePropsDifferAcrossTrials(t *testing.T) {
 	g1 := record(t, DefaultConfig(), "open", benchprog.Foreground, 0)
 	g2 := record(t, DefaultConfig(), "open", benchprog.Foreground, 1)
-	if graph.ShapeFingerprint(g1) != graph.ShapeFingerprint(g2) {
+	if g1.Fingerprint() != g2.Fingerprint() {
 		t.Fatal("structure differs across trials")
 	}
 	if graph.Equal(g1, g2) {

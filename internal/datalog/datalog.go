@@ -12,9 +12,10 @@ package datalog
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -260,29 +261,40 @@ func scanQuoted(s string) (string, string, error) {
 // regression store normalizes before diffing so that volatile identifier
 // allocation between tool versions does not trigger false regressions.
 func Normalize(g *graph.Graph) *graph.Graph {
-	colors := graph.WLColors(g, 3)
-	nodeKey := func(n *graph.Node) string {
-		return colors[n.ID] + "|" + n.Label + "|" + propSig(n.Props)
+	colors := g.Colors()
+	type nodeKey struct {
+		color uint64
+		rest  string // label|props
+		n     *graph.Node
 	}
-	nodes := g.Nodes()
-	sort.SliceStable(nodes, func(i, j int) bool { return nodeKey(nodes[i]) < nodeKey(nodes[j]) })
+	nodes := make([]nodeKey, g.NumNodes())
+	for i, n := range g.Nodes() {
+		nodes[i] = nodeKey{colors[i], n.Label + "|" + propSig(n.Props), n}
+	}
+	slices.SortStableFunc(nodes, func(a, b nodeKey) int {
+		return cmp.Or(cmp.Compare(a.color, b.color), strings.Compare(a.rest, b.rest))
+	})
 	rename := make(map[graph.ElemID]graph.ElemID, len(nodes))
 	out := graph.New()
-	for i, n := range nodes {
+	for i, k := range nodes {
 		id := graph.ElemID("n" + strconv.Itoa(i+1))
-		rename[n.ID] = id
-		if err := out.InsertNode(id, n.Label, n.Props); err != nil {
+		rename[k.n.ID] = id
+		if err := out.InsertNode(id, k.n.Label, k.n.Props); err != nil {
 			panic("datalog: normalize node: " + err.Error()) // fresh ids cannot collide
 		}
 	}
-	edges := g.Edges()
-	edgeKey := func(e *graph.Edge) string {
-		return string(rename[e.Src]) + "|" + e.Label + "|" + string(rename[e.Tgt]) + "|" + propSig(e.Props)
+	type edgeKey struct {
+		key string // src|label|tgt|props over the new node ids
+		e   *graph.Edge
 	}
-	sort.SliceStable(edges, func(i, j int) bool { return edgeKey(edges[i]) < edgeKey(edges[j]) })
-	for i, e := range edges {
+	edges := make([]edgeKey, g.NumEdges())
+	for i, e := range g.Edges() {
+		edges[i] = edgeKey{string(rename[e.Src]) + "|" + e.Label + "|" + string(rename[e.Tgt]) + "|" + propSig(e.Props), e}
+	}
+	slices.SortStableFunc(edges, func(a, b edgeKey) int { return strings.Compare(a.key, b.key) })
+	for i, k := range edges {
 		id := graph.ElemID("e" + strconv.Itoa(i+1))
-		if err := out.InsertEdge(id, rename[e.Src], rename[e.Tgt], e.Label, e.Props); err != nil {
+		if err := out.InsertEdge(id, rename[k.e.Src], rename[k.e.Tgt], k.e.Label, k.e.Props); err != nil {
 			panic("datalog: normalize edge: " + err.Error())
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -20,8 +21,8 @@ var fingerprintComputes atomic.Uint64
 // trial graph is fingerprinted at most once per pipeline run.
 func FingerprintComputations() uint64 { return fingerprintComputes.Load() }
 
-// ShapeFingerprint returns a hash that is invariant under renaming of
-// node and edge identifiers and under property values, but sensitive to
+// Fingerprint returns a hash that is invariant under renaming of node
+// and edge identifiers and under property values, but sensitive to
 // labels and to the multiset of (srcLabel, edgeLabel, tgtLabel) triples
 // refined by iterated neighbourhood colouring (a Weisfeiler–Leman style
 // refinement). Two graphs with different fingerprints are guaranteed not
@@ -30,17 +31,27 @@ func FingerprintComputations() uint64 { return fingerprintComputes.Load() }
 //
 // The result is memoized on the graph and recomputed only after a
 // structural mutation, so repeated classification passes fingerprint
-// each graph exactly once.
-func ShapeFingerprint(g *Graph) string { return g.Fingerprint() }
-
-// Fingerprint is ShapeFingerprint as a method; it serves the memoized
-// value when the graph is structurally unchanged. It is safe for
-// concurrent use provided no goroutine mutates the graph concurrently.
+// each graph exactly once. It is safe for concurrent use provided no
+// goroutine mutates the graph concurrently.
 func (g *Graph) Fingerprint() string {
 	g.canon.mu.Lock()
 	defer g.canon.mu.Unlock()
 	g.ensureCanonLocked()
 	return g.canon.fp
+}
+
+// Colors returns the node colours of the refinement behind Fingerprint,
+// at depth CanonRounds and in Nodes() order, so that matching engines
+// can prune candidate pairs: nodes mapped to each other by any
+// label-preserving isomorphism necessarily share a colour. The slice
+// comes from the memoized cache and must not be modified; a
+// recomputation after a structural mutation stores a fresh slice, so
+// one returned earlier keeps its values.
+func (g *Graph) Colors() []uint64 {
+	g.canon.mu.Lock()
+	defer g.canon.mu.Unlock()
+	g.ensureCanonLocked()
+	return g.canon.colors
 }
 
 // ensureCanonLocked fills the canonical cache; callers hold canon.mu.
@@ -55,56 +66,10 @@ func (g *Graph) ensureCanonLocked() {
 	ws := wlGet()
 	colors := wlRefine(g, CanonRounds, ws)
 	g.canon.fp = wlFingerprint(g, colors, ws)
-	g.canon.colors64 = append(g.canon.colors64[:0], colors...)
-	g.canon.colors = nil
+	g.canon.colors = slices.Clone(colors)
 	g.canon.valid = true
 	wlPut(ws)
 	fingerprintComputes.Add(1)
-}
-
-// renderColors exposes integer colours under the exported string API:
-// 16 hex digits per colour, fixed width so colour strings sort like
-// the integers they render.
-func renderColors(g *Graph, colors []uint64) map[ElemID]string {
-	out := make(map[ElemID]string, len(g.nodeIDs))
-	for i, id := range g.nodeIDs {
-		var b [16]byte
-		c := colors[i]
-		for j := 15; j >= 0; j-- {
-			b[j] = "0123456789abcdef"[c&0xf]
-			c >>= 4
-		}
-		out[id] = string(b[:])
-	}
-	return out
-}
-
-// WLColors exposes the refinement used by ShapeFingerprint so that
-// matching engines can prune candidate pairs: nodes mapped to each other
-// by any label-preserving isomorphism necessarily share a WL colour. At
-// the canonical depth the colours come from the graph's memoized cache
-// (rendered to strings on first request); the returned map is a copy
-// the caller may retain.
-func WLColors(g *Graph, rounds int) map[ElemID]string {
-	if rounds != CanonRounds {
-		ws := wlGet()
-		colors := wlRefine(g, rounds, ws)
-		out := renderColors(g, colors)
-		wlPut(ws)
-		return out
-	}
-	g.canon.mu.Lock()
-	g.ensureCanonLocked()
-	if g.canon.colors == nil {
-		g.canon.colors = renderColors(g, g.canon.colors64)
-	}
-	cached := g.canon.colors
-	g.canon.mu.Unlock()
-	out := make(map[ElemID]string, len(cached))
-	for k, v := range cached {
-		out[k] = v
-	}
-	return out
 }
 
 // LabelCounts returns the multiset of node and edge labels, a cheap

@@ -41,15 +41,15 @@ func BenchmarkShapeFingerprint(b *testing.B) {
 		g := randomGraph(rng, 128, 256)
 		for i := 0; i < b.N; i++ {
 			g.invalidateCanon()
-			ShapeFingerprint(g)
+			g.Fingerprint()
 		}
 	})
 	b.Run("memoized", func(b *testing.B) {
 		g := randomGraph(rng, 128, 256)
-		ShapeFingerprint(g)
+		g.Fingerprint()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ShapeFingerprint(g)
+			g.Fingerprint()
 		}
 	})
 }

@@ -51,7 +51,7 @@ func FuzzShapeFingerprintInvariance(f *testing.F) {
 			seed = seed*31 + int64(b)
 		}
 		h := renameElements(g, rand.New(rand.NewSource(seed)))
-		if ShapeFingerprint(g) != ShapeFingerprint(h) {
+		if g.Fingerprint() != h.Fingerprint() {
 			t.Fatalf("fingerprint not invariant under renaming:\n%s\n%s", g, h)
 		}
 
@@ -60,7 +60,7 @@ func FuzzShapeFingerprintInvariance(f *testing.F) {
 		mut := g.Clone()
 		node := mut.Nodes()[int(data[0])%mut.NumNodes()]
 		node.Label += "_mutant"
-		if ShapeFingerprint(g) == ShapeFingerprint(mut) {
+		if g.Fingerprint() == mut.Fingerprint() {
 			t.Fatalf("fingerprint ignored a label change on %s:\n%s", node.ID, g)
 		}
 
@@ -68,9 +68,9 @@ func FuzzShapeFingerprintInvariance(f *testing.F) {
 		// must yield a different (recomputed) fingerprint.
 		if g.NumNodes() > 1 {
 			rm := g.Clone()
-			before := ShapeFingerprint(rm)
+			before := rm.Fingerprint()
 			rm.RemoveNode(rm.Nodes()[0].ID)
-			if after := ShapeFingerprint(rm); after == before {
+			if after := rm.Fingerprint(); after == before {
 				t.Fatalf("fingerprint unchanged after node removal:\n%s", g)
 			}
 		}

@@ -58,7 +58,7 @@ type Graph struct {
 }
 
 // canonCache memoizes the canonical WL refinement of the graph: the
-// round-`canonRounds` colours and the shape fingerprint derived from
+// round-CanonRounds colours and the shape fingerprint derived from
 // them. It is invalidated on every structural mutation (node/edge
 // insertion or removal). Property edits do not invalidate it — the
 // fingerprint is property-insensitive by design. Mutating labels
@@ -68,11 +68,9 @@ type canonCache struct {
 	mu    sync.Mutex
 	valid bool
 	fp    string
-	// colors64 holds the canonical-depth colours indexed by node
-	// insertion order; colors is the string rendering, produced lazily
-	// on the first WLColors request at canonical depth.
-	colors64 []uint64
-	colors   map[ElemID]string
+	// colors holds the canonical-depth colours indexed by node
+	// insertion order. Each computation stores a fresh slice.
+	colors []uint64
 }
 
 // New returns an empty property graph.
@@ -91,7 +89,6 @@ func (g *Graph) invalidateCanon() {
 	g.canon.mu.Lock()
 	g.canon.valid = false
 	g.canon.fp = ""
-	g.canon.colors64 = g.canon.colors64[:0]
 	g.canon.colors = nil
 	g.canon.mu.Unlock()
 }

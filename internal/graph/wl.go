@@ -1,7 +1,7 @@
 package graph
 
 // Integer Weisfeiler–Leman refinement — the engine behind
-// ShapeFingerprint and WLColors.
+// (*Graph).Fingerprint and (*Graph).Colors.
 //
 // The legacy refinement (wl_legacy.go) built a string per node per
 // round: format every incident edge as "label<colour", sort the

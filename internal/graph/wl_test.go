@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -21,21 +22,23 @@ func TestWLPartitionEquivalence(t *testing.T) {
 		g := randomGraph(rng, nodes, rng.Intn(3*nodes))
 		for rounds := 0; rounds <= 4; rounds++ {
 			legacy := wlColorsLegacy(g, rounds)
-			interned := WLColors(g, rounds)
+			ws := wlGet()
+			interned := slices.Clone(wlRefine(g, rounds, ws))
+			wlPut(ws)
 			if len(legacy) != len(interned) {
 				t.Fatalf("trial %d rounds %d: %d legacy colours vs %d interned", trial, rounds, len(legacy), len(interned))
 			}
 			// Equal partition: the (legacy, interned) pairing must be a
 			// bijection between colour classes.
-			l2i := map[string]string{}
-			i2l := map[string]string{}
-			for id, lc := range legacy {
-				ic := interned[id]
+			l2i := map[string]uint64{}
+			i2l := map[uint64]string{}
+			for i, n := range g.Nodes() {
+				lc, ic := legacy[n.ID], interned[i]
 				if prev, ok := l2i[lc]; ok && prev != ic {
-					t.Fatalf("trial %d rounds %d: legacy colour %s split across interned colours %s and %s", trial, rounds, lc, prev, ic)
+					t.Fatalf("trial %d rounds %d: legacy colour %s split across interned colours %x and %x", trial, rounds, lc, prev, ic)
 				}
 				if prev, ok := i2l[ic]; ok && prev != lc {
-					t.Fatalf("trial %d rounds %d: interned colour %s merges legacy colours %s and %s", trial, rounds, ic, prev, lc)
+					t.Fatalf("trial %d rounds %d: interned colour %x merges legacy colours %s and %s", trial, rounds, ic, prev, lc)
 				}
 				l2i[lc] = ic
 				i2l[ic] = lc
@@ -68,7 +71,7 @@ func TestWLRefineAllocsUnderLegacy(t *testing.T) {
 	})
 	interned := mallocs(func() {
 		for _, g := range corpus {
-			sink += len(ShapeFingerprint(g))
+			sink += len(g.Fingerprint())
 		}
 	})
 	if sink == 0 {
@@ -132,14 +135,33 @@ func TestWLColorsProcessStable(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		return randomGraph(rng, 20, 35)
 	}
-	a, b := WLColors(build(), CanonRounds), WLColors(build(), CanonRounds)
-	if len(a) != len(b) {
-		t.Fatalf("colour counts differ: %d vs %d", len(a), len(b))
+	a, b := build().Colors(), build().Colors()
+	if !slices.Equal(a, b) {
+		t.Errorf("colours differ across identical builds:\n%x\n%x", a, b)
 	}
-	for id, c := range a {
-		if b[id] != c {
-			t.Errorf("colour of %s differs across identical builds: %s vs %s", id, c, b[id])
-		}
+}
+
+// TestColorsSurviveRecompute: a structural mutation makes the graph
+// recompute its colours into a fresh slice, so a slice taken before
+// keeps the values it had. The mutation adds an edge and keeps the node
+// count, so a recomputation into the old slab would fit it exactly.
+func TestColorsSurviveRecompute(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(17)), 12, 20)
+	before := g.Colors()
+	want := slices.Clone(before)
+	nodes := g.Nodes()
+	if _, err := g.AddEdge(nodes[0].ID, nodes[1].ID, "late", nil); err != nil {
+		t.Fatal(err)
+	}
+	after := g.Colors()
+	if len(after) != len(want) {
+		t.Fatalf("%d colours after adding an edge, want %d", len(after), len(want))
+	}
+	if slices.Equal(after, want) {
+		t.Fatal("the new edge changed no colour, so the test cannot tell a reused slab")
+	}
+	if !slices.Equal(before, want) {
+		t.Errorf("colours taken before the mutation changed:\n got  %x\n want %x", before, want)
 	}
 }
 
@@ -150,10 +172,13 @@ func TestWLColorsProcessStable(t *testing.T) {
 func TestMemoizedFingerprintAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomGraph(rng, 64, 128)
-	want := ShapeFingerprint(g)
+	want := g.Fingerprint()
 	if allocs := testing.AllocsPerRun(100, func() {
 		if got := g.Fingerprint(); got != want {
 			t.Fatalf("fingerprint changed: %s vs %s", got, want)
+		}
+		if len(g.Colors()) != g.NumNodes() {
+			t.Fatal("colours do not cover the nodes")
 		}
 	}); allocs != 0 {
 		t.Errorf("memoized Fingerprint allocates %.1f objects/op, want 0", allocs)
@@ -199,7 +224,7 @@ func TestFingerprintMatchesLegacyPartitionOnClasses(t *testing.T) {
 	}
 	base := mk(nil)
 	same := mk(nil)
-	if ShapeFingerprint(base) != ShapeFingerprint(same) {
+	if base.Fingerprint() != same.Fingerprint() {
 		t.Error("identical graphs fingerprint differently")
 	}
 	variants := []func(*Graph){
@@ -213,8 +238,8 @@ func TestFingerprintMatchesLegacyPartitionOnClasses(t *testing.T) {
 	}
 	for i, mutate := range variants {
 		v := mk(mutate)
-		if ShapeFingerprint(base) == ShapeFingerprint(v) {
-			t.Errorf("variant %d fingerprints equal to base %s", i, fmt.Sprint(ShapeFingerprint(base)))
+		if base.Fingerprint() == v.Fingerprint() {
+			t.Errorf("variant %d fingerprints equal to base %s", i, fmt.Sprint(base.Fingerprint()))
 		}
 	}
 }

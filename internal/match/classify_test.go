@@ -252,7 +252,7 @@ func seedSimilarityClasses(trials []*graph.Graph) [][]int {
 		placed := false
 		for ci, c := range classes {
 			rep := trials[c[0]]
-			if graph.ShapeFingerprint(rep) != graph.ShapeFingerprint(g) {
+			if rep.Fingerprint() != g.Fingerprint() {
 				continue
 			}
 			if _, ok := match.SimilarASP(rep, g); ok {

@@ -19,29 +19,28 @@ import (
 // undecided (decided=false) and the caller falls back to the solver.
 // Callers must have checked node/edge counts beforehand.
 func similarForced(g1, g2 *graph.Graph) (m Mapping, ok, decided bool) {
-	c1 := graph.WLColors(g1, graph.CanonRounds)
-	c2 := graph.WLColors(g2, graph.CanonRounds)
+	c1, c2 := g1.Colors(), g2.Colors()
 
-	byColor2 := make(map[string]graph.ElemID, g2.NumNodes())
-	for _, n := range g2.Nodes() {
-		if _, dup := byColor2[c2[n.ID]]; dup {
+	byColor2 := make(map[uint64]graph.ElemID, g2.NumNodes())
+	for i, n := range g2.Nodes() {
+		if _, dup := byColor2[c2[i]]; dup {
 			return nil, false, false
 		}
-		byColor2[c2[n.ID]] = n.ID
+		byColor2[c2[i]] = n.ID
 	}
-	seen1 := make(map[string]bool, g1.NumNodes())
-	for _, n := range g1.Nodes() {
-		if seen1[c1[n.ID]] {
+	seen1 := make(map[uint64]bool, g1.NumNodes())
+	for _, c := range c1 {
+		if seen1[c] {
 			return nil, false, false
 		}
-		seen1[c1[n.ID]] = true
+		seen1[c] = true
 	}
 
 	// Both colourings are discrete; the colour-respecting mapping is
 	// forced and injective (equal node counts were checked upfront).
 	m = make(Mapping, g1.Size())
-	for _, n := range g1.Nodes() {
-		y, found := byColor2[c1[n.ID]]
+	for i, n := range g1.Nodes() {
+		y, found := byColor2[c1[i]]
 		if !found || g2.Node(y).Label != n.Label {
 			return nil, false, true
 		}

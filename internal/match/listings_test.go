@@ -17,7 +17,7 @@ import (
 //     the cardinality-1 choice rules;
 //   - label mismatches are pruned during grounding, realizing the
 //     label-preservation constraints;
-//   - at-most-one sets realize the injectivity constraints;
+//   - atom targets realize the injectivity constraints;
 //   - implications realize the endpoint-preservation constraints;
 //   - atom weights realize cost/3 with the #minimize directive.
 
@@ -166,7 +166,7 @@ func (enc *encoding) render() string {
 	p := enc.problem
 	name := func(a asp.AtomID) string {
 		x := elemID(enc.nodes1, enc.edges1, int(p.Atom(a).Group))
-		y := elemID(enc.nodes2, enc.edges2, int(enc.target[a]))
+		y := elemID(enc.nodes2, enc.edges2, int(p.Atom(a).Target))
 		return fmt.Sprintf("h(%s,%s)", x, y)
 	}
 	var b strings.Builder
@@ -181,8 +181,10 @@ func (enc *encoding) render() string {
 		}
 		fmt.Fprintf(&b, "{ %s } = 1.\n", strings.Join(names, "; "))
 	}
-	for _, imp := range p.Implications() {
-		fmt.Fprintf(&b, ":- %s, not %s.\n", name(imp[0]), name(imp[1]))
+	for a := asp.AtomID(0); int(a) < p.NumAtoms(); a++ {
+		for _, imp := range p.Implied(a) {
+			fmt.Fprintf(&b, ":- %s, not %s.\n", name(a), name(imp))
+		}
 	}
 	if len(costs) > 0 {
 		fmt.Fprintf(&b, "#minimize { %s }.\n", strings.Join(costs, "; "))

@@ -15,7 +15,7 @@
 //
 // # Fingerprint-then-confirm contract
 //
-// Similar consults graph.ShapeFingerprint before any search. The
+// Similar consults (*graph.Graph).Fingerprint before any search. The
 // fingerprint check is a necessary-condition filter only: unequal
 // fingerprints prove non-similarity, but equal fingerprints never
 // certify similarity — a confirming engine always has the final word.
@@ -49,14 +49,12 @@ var ErrNotSimilar = errors.New("match: graphs are not similar")
 var ErrNoEmbedding = errors.New("match: no subgraph embedding exists")
 
 // encoding is a grounded matching problem of g1 into g2 with what its
-// groups and atoms stand for: group i is element i of g1's nodes then
-// edges, and atom a maps it onto element target[a] of g2's nodes then
-// edges.
+// groups and targets stand for: group i is element i of g1's nodes then
+// edges, and target t is element t of g2's nodes then edges.
 type encoding struct {
 	problem        *asp.Problem
 	nodes1, nodes2 []*graph.Node
 	edges1, edges2 []*graph.Edge
-	target         []int32 // per atom
 }
 
 // elemID returns the id of element i of nodes followed by edges.
@@ -70,7 +68,7 @@ func elemID(nodes []*graph.Node, edges []*graph.Edge, i int) graph.ElemID {
 func (enc *encoding) decode(sol *asp.Solution) Mapping {
 	m := make(Mapping, len(sol.Selected))
 	for gi, a := range sol.Selected {
-		m[elemID(enc.nodes1, enc.edges1, gi)] = elemID(enc.nodes2, enc.edges2, int(enc.target[a]))
+		m[elemID(enc.nodes1, enc.edges1, gi)] = elemID(enc.nodes2, enc.edges2, int(enc.problem.Atom(a).Target))
 	}
 	return m
 }
@@ -266,19 +264,21 @@ func keepCommonProps(out *graph.Graph, id graph.ElemID, mine, theirs graph.Prope
 // nodes to nodes of the same refined colour, so a g1 node's candidates
 // are the g2 nodes of its (label, colour) bucket.
 func encodeIso(g1, g2 *graph.Graph, wf weightFunc) (*encoding, error) {
-	c1 := graph.WLColors(g1, graph.CanonRounds)
-	c2 := graph.WLColors(g2, graph.CanonRounds)
-	type nodeKey struct{ label, color string }
+	c1, c2 := g1.Colors(), g2.Colors()
+	type nodeKey struct {
+		label string
+		color uint64
+	}
 	buckets := make(map[nodeKey][]int32)
 	for i, n := range g2.Nodes() {
-		k := nodeKey{n.Label, c2[n.ID]}
+		k := nodeKey{n.Label, c2[i]}
 		buckets[k] = append(buckets[k], int32(i))
 	}
 	if wf == nil {
 		wf = func(graph.Properties, graph.Properties) int { return 0 }
 	}
-	return ground(g1, g2, func(n1 *graph.Node) []int32 {
-		return buckets[nodeKey{n1.Label, c1[n1.ID]}]
+	return ground(g1, g2, func(i1 int, n1 *graph.Node) []int32 {
+		return buckets[nodeKey{n1.Label, c1[i1]}]
 	}, wf)
 }
 
@@ -294,7 +294,7 @@ func encodeSubgraph(bg, fg *graph.Graph) (*encoding, error) {
 	for i, n := range fgNodes {
 		byLabel[n.Label] = append(byLabel[n.Label], int32(i))
 	}
-	return ground(bg, fg, func(x *graph.Node) []int32 {
+	return ground(bg, fg, func(_ int, x *graph.Node) []int32 {
 		var cands []int32
 	next:
 		for _, i := range byLabel[x.Label] {
@@ -336,14 +336,14 @@ func labelDegrees(g *graph.Graph) map[graph.ElemID]map[degreeKey]int {
 
 // ground builds the matching program of g1 into g2 shared by Listings 3
 // and 4: one selection group per g1 node, then per g1 edge; node
-// candidates are the g2 node indices nodeCands returns, ascending (g2
-// order); edge candidates are the same-label g2 edges, in g2 order,
-// whose endpoints are candidates of the g1 edge's endpoints, each
-// implying those endpoint atoms; and one at-most-one set per g2 element
-// over the atoms mapping onto it (the injectivity rules :- X<>Y,
-// h(X,Z), h(Y,Z)). It counts the candidates before adding any atom, so
-// the problem and the encoding are allocated once.
-func ground(g1, g2 *graph.Graph, nodeCands func(*graph.Node) []int32, wf weightFunc) (*encoding, error) {
+// candidates are the g2 node indices nodeCands returns for a g1 node
+// and its index, ascending (g2 order); edge candidates are the
+// same-label g2 edges, in g2 order, whose endpoints are candidates of
+// the g1 edge's endpoints, each implying those endpoint atoms. Each
+// atom's target is the g2 element it maps onto, which the solver keeps
+// injective (the rules :- X<>Y, h(X,Z), h(Y,Z)). It counts the
+// candidates before adding any atom, so the problem is allocated once.
+func ground(g1, g2 *graph.Graph, nodeCands func(int, *graph.Node) []int32, wf weightFunc) (*encoding, error) {
 	enc := &encoding{nodes1: g1.Nodes(), nodes2: g2.Nodes(), edges1: g1.Edges(), edges2: g2.Edges()}
 	nodes1, nodes2, edges1, edges2 := enc.nodes1, enc.nodes2, enc.edges1, enc.edges2
 
@@ -355,7 +355,7 @@ func ground(g1, g2 *graph.Graph, nodeCands func(*graph.Node) []int32, wf weightF
 	nAtoms := 0
 	for i1, n1 := range nodes1 {
 		index1[n1.ID] = int32(i1)
-		cands[i1] = nodeCands(n1)
+		cands[i1] = nodeCands(i1, n1)
 		if len(cands[i1]) == 0 {
 			return nil, fmt.Errorf("node %s has no candidates", n1.ID)
 		}
@@ -400,46 +400,21 @@ func ground(g1, g2 *graph.Graph, nodeCands func(*graph.Node) []int32, wf weightF
 	nAtoms += nEdgeAtoms
 
 	p := asp.NewProblem()
-	nTargets := len(nodes2) + len(edges2)
-	p.Grow(len(nodes1)+len(edges1), nAtoms, nTargets, 2*nEdgeAtoms)
+	p.Grow(len(nodes1)+len(edges1), nAtoms, 2*nEdgeAtoms)
 	enc.problem = p
-	enc.target = make([]int32, 0, nAtoms)
 	for i1, n1 := range nodes1 {
 		gi := p.AddGroup()
 		for _, i2 := range cands[i1] {
-			p.AddAtom(gi, wf(n1.Props, nodes2[i2].Props))
-			enc.target = append(enc.target, i2)
+			p.AddAtom(gi, int(i2), wf(n1.Props, nodes2[i2].Props))
 		}
 	}
 	for _, e1 := range edges1 {
 		gi := p.AddGroup()
 		edgeCands(e1, func(j int32, sa, ta asp.AtomID) {
-			a := p.AddAtom(gi, wf(e1.Props, edges2[j].Props))
-			enc.target = append(enc.target, int32(len(nodes2))+j)
+			a := p.AddAtom(gi, len(nodes2)+int(j), wf(e1.Props, edges2[j].Props))
 			p.AddImplication(a, sa)
 			p.AddImplication(a, ta)
 		})
-	}
-
-	// Sort the atoms by target, keeping atom order within a target:
-	// end[t+1] counts t's atoms, the prefix sums move end[t] to where
-	// t's atoms start, and placing them moves it to where they end.
-	end := make([]int32, nTargets+1)
-	for _, t := range enc.target {
-		end[t+1]++
-	}
-	for t := 0; t < nTargets; t++ {
-		end[t+1] += end[t]
-	}
-	byTarget := make([]asp.AtomID, nAtoms)
-	for a, t := range enc.target {
-		byTarget[end[t]] = asp.AtomID(a)
-		end[t]++
-	}
-	lo := int32(0)
-	for _, hi := range end[:nTargets] {
-		p.AddAtMostOne(byTarget[lo:hi:hi])
-		lo = hi
 	}
 	return enc, nil
 }

@@ -32,15 +32,14 @@ func SimilarDirect(g1, g2 *graph.Graph) (Mapping, bool) {
 	if !graph.SameLabelCounts(g1, g2) {
 		return nil, false
 	}
-	c1 := graph.WLColors(g1, graph.CanonRounds)
-	c2 := graph.WLColors(g2, graph.CanonRounds)
+	c1, c2 := g1.Colors(), g2.Colors()
 
 	// Candidate sets per G1 node, ordered smallest-first for fail-fast.
 	nodes1 := g1.Nodes()
 	cands := make(map[graph.ElemID][]graph.ElemID, len(nodes1))
-	for _, n1 := range nodes1 {
-		for _, n2 := range g2.Nodes() {
-			if n1.Label == n2.Label && c1[n1.ID] == c2[n2.ID] {
+	for i1, n1 := range nodes1 {
+		for i2, n2 := range g2.Nodes() {
+			if n1.Label == n2.Label && c1[i1] == c2[i2] {
 				cands[n1.ID] = append(cands[n1.ID], n2.ID)
 			}
 		}

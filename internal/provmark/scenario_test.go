@@ -6,7 +6,6 @@ import (
 
 	"provmark/internal/benchprog"
 	"provmark/internal/capture"
-	"provmark/internal/graph"
 	"provmark/internal/provmark"
 )
 
@@ -48,7 +47,7 @@ func TestRunnerRunScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if graph.ShapeFingerprint(res.Target) != graph.ShapeFingerprint(direct.Target) {
+	if res.Target.Fingerprint() != direct.Target.Fingerprint() {
 		t.Error("RunScenario and Run(Compile()) disagree")
 	}
 	if _, err := runner.RunScenario(context.Background(), benchprog.Scenario{Name: "broken"}); err == nil {
