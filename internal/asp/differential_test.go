@@ -85,8 +85,8 @@ func referenceDiff(p *Problem) string {
 }
 
 // TestSolverMatchesReference: on random problems mixing shared and
-// fresh targets and chains of implications, the solver takes exactly the frozen
-// reference solver's decisions.
+// fresh targets and chains of implications, the solver takes exactly
+// the frozen reference solver's decisions.
 func TestSolverMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		p := randomProblem(rand.New(rand.NewSource(seed)))
