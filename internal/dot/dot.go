@@ -7,50 +7,93 @@
 package dot
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
-	"io"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"provmark/internal/graph"
 )
 
-// Write renders a property graph as a DOT digraph. The graph label of
-// each element is emitted as a leading "type:<label>" pair; property
-// keys follow in sorted order.
-func Write(w io.Writer, g *graph.Graph, name string) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "digraph %s {\n", sanitizeName(name))
-	fmt.Fprintf(bw, "graph [rankdir=\"TB\"];\n")
+// WriteString renders a property graph as a DOT digraph. The graph
+// label of each element is emitted as a leading "type:<label>" pair;
+// property keys follow in sorted order. Identifiers and labels are
+// quoted as strconv.Quote quotes them. A label or property value that
+// contains a newline, a property key that contains a colon or a
+// newline, and a property named "type" do not read back unchanged,
+// because the label separates its pairs with newlines and each key
+// from its value with the first colon.
+func WriteString(g *graph.Graph, name string) string {
+	w := writer{out: make([]byte, 0, 128*(g.Size()+1))} // SPADE's lines run about 105 bytes
+	w.out = append(w.out, "digraph "...)
+	w.out = append(w.out, sanitizeName(name)...)
+	w.out = append(w.out, " {\ngraph [rankdir=\"TB\"];\n"...)
 	for _, n := range g.Nodes() {
-		shape := "ellipse"
+		shape := `"ellipse"`
 		if n.Label == "Process" || n.Label == "Activity" {
-			shape = "box"
+			shape = `"box"`
 		}
-		fmt.Fprintf(bw, "%q [label=%q shape=%q];\n", string(n.ID), labelFor(n.Label, n.Props), shape)
+		w.out = strconv.AppendQuote(w.out, string(n.ID))
+		w.out = append(w.out, " [label="...)
+		w.label(n.Label, n.Props)
+		w.out = append(w.out, " shape="...)
+		w.out = append(w.out, shape...)
+		w.out = append(w.out, "];\n"...)
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%q -> %q [label=%q];\n", string(e.Src), string(e.Tgt), labelFor(e.Label, e.Props))
+		w.out = strconv.AppendQuote(w.out, string(e.Src))
+		w.out = append(w.out, " -> "...)
+		w.out = strconv.AppendQuote(w.out, string(e.Tgt))
+		w.out = append(w.out, " [label="...)
+		w.label(e.Label, e.Props)
+		w.out = append(w.out, "];\n"...)
 	}
-	fmt.Fprintf(bw, "}\n")
-	return bw.Flush()
+	w.out = append(w.out, "}\n"...)
+	return string(w.out)
 }
 
-// WriteString is Write into a string.
-func WriteString(g *graph.Graph, name string) string {
-	var b strings.Builder
-	if err := Write(&b, g, name); err != nil {
-		return "" // strings.Builder cannot fail
-	}
-	return b.String()
+type writer struct {
+	out  []byte
+	text []byte // the label being built
+	keys []string
 }
 
-func labelFor(typ string, props graph.Properties) string {
-	parts := []string{"type:" + typ}
-	for _, k := range graph.PropKeys(props) {
-		parts = append(parts, k+":"+props[k])
+// label appends the quoted label attribute: "type:<typ>" and then one
+// "key:value" pair per property in key order, joined by newlines.
+func (w *writer) label(typ string, props graph.Properties) {
+	w.text = append(append(w.text[:0], "type:"...), typ...)
+	w.keys = w.keys[:0]
+	for k := range props {
+		w.keys = append(w.keys, k)
 	}
-	return strings.Join(parts, "\n")
+	slices.Sort(w.keys)
+	for _, k := range w.keys {
+		w.text = append(append(append(append(w.text, '\n'), k...), ':'), props[k]...)
+	}
+	w.out = appendQuoteBytes(w.out, w.text)
+}
+
+// appendQuoteBytes appends b quoted exactly as strconv.AppendQuote
+// quotes string(b), without converting b to a string.
+func appendQuoteBytes(out, b []byte) []byte {
+	out = append(out, '"')
+	for len(b) > 0 {
+		if c := b[0]; c >= ' ' && c < 0x7f && c != '"' && c != '\\' {
+			out = append(out, c)
+			b = b[1:]
+			continue
+		}
+		_, size := utf8.DecodeRune(b)
+		// Anything else goes through strconv one rune at a time, and
+		// the quotes it adds around the rune are dropped.
+		n := len(out)
+		out = strconv.AppendQuote(out, string(b[:size]))
+		out = append(out[:n], out[n+1:len(out)-1]...)
+		b = b[size:]
+	}
+	return append(out, '"')
 }
 
 func sanitizeName(name string) string {
@@ -69,129 +112,151 @@ func sanitizeName(name string) string {
 	return string(out)
 }
 
-// Parse reads a DOT digraph written by Write (or by a compatible tool)
-// back into a property graph.
-func Parse(r io.Reader) (*graph.Graph, error) {
-	g := graph.New()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+// ParseString reads a DOT digraph written by WriteString (or by a
+// compatible tool) back into a property graph. Each quoted token is
+// decoded as strconv.Unquote decodes it.
+func ParseString(s string) (*graph.Graph, error) {
+	p := parser{g: graph.New(), props: graph.Properties{}}
+	for lineNo := 1; s != ""; lineNo++ {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		line = strings.TrimSpace(line)
 		switch {
 		case line == "" || strings.HasPrefix(line, "digraph") || line == "}" ||
 			strings.HasPrefix(line, "graph ") || strings.HasPrefix(line, "//"):
 			continue
 		}
-		if err := parseLine(g, line); err != nil {
+		if err := p.line(line); err != nil {
 			return nil, fmt.Errorf("dot: line %d: %w", lineNo, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dot: read: %w", err)
+	return p.g, nil
+}
+
+// parser holds one parse's graph, the scratch buffers its lines are
+// decoded into, and the table that copies each distinct string out of
+// them once.
+type parser struct {
+	g     *graph.Graph
+	strs  internTable
+	buf   []byte // the last quoted token outside the label attribute
+	text  []byte // the decoded label attribute
+	props graph.Properties
+}
+
+// internTable is a direct-mapped cache of strings by content: a string
+// seen again while its slot still holds it is not copied again.
+type internTable [512]string
+
+func (t *internTable) intern(b []byte) string {
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
 	}
-	return g, nil
+	slot := &t[h%uint32(len(t))]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*graph.Graph, error) {
-	return Parse(strings.NewReader(s))
-}
-
-func parseLine(g *graph.Graph, line string) error {
+func (p *parser) line(line string) error {
 	line = strings.TrimSuffix(line, ";")
-	id1, rest, err := readQuoted(line)
+	var err error
+	p.buf, line, err = unquote(p.buf[:0], line)
 	if err != nil {
 		return err
 	}
-	rest = strings.TrimSpace(rest)
-	if strings.HasPrefix(rest, "->") {
-		id2, attrPart, err := readQuoted(strings.TrimSpace(rest[2:]))
+	id1 := graph.ElemID(p.strs.intern(p.buf))
+	line = strings.TrimSpace(line)
+	if rest, ok := strings.CutPrefix(line, "->"); ok {
+		p.buf, rest, err = unquote(p.buf[:0], rest)
 		if err != nil {
 			return err
 		}
-		label, props, err := parseAttrs(attrPart)
+		id2 := graph.ElemID(p.strs.intern(p.buf))
+		label, err := p.attrs(rest)
 		if err != nil {
 			return err
 		}
-		_ = ensureNode(g, graph.ElemID(id1))
-		_ = ensureNode(g, graph.ElemID(id2))
-		if _, err := g.AddEdge(graph.ElemID(id1), graph.ElemID(id2), label, props); err != nil {
-			return err
-		}
-		return nil
+		p.ensureNode(id1)
+		p.ensureNode(id2)
+		_, err = p.g.AddEdge(id1, id2, label, orNil(p.props))
+		return err
 	}
-	label, props, err := parseAttrs(rest)
+	label, err := p.attrs(line)
 	if err != nil {
 		return err
 	}
-	if n := g.Node(graph.ElemID(id1)); n != nil {
+	if n := p.g.Node(id1); n != nil {
 		// Node was auto-created by an earlier edge line: fill it in.
 		n.Label = label
-		for k, v := range props {
-			if err := g.SetProp(n.ID, k, v); err != nil {
+		for k, v := range p.props {
+			if err := p.g.SetProp(n.ID, k, v); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return g.InsertNode(graph.ElemID(id1), label, props)
+	return p.g.InsertNode(id1, label, orNil(p.props))
 }
 
-func ensureNode(g *graph.Graph, id graph.ElemID) *graph.Node {
-	if n := g.Node(id); n != nil {
-		return n
+func (p *parser) ensureNode(id graph.ElemID) {
+	if p.g.Node(id) == nil {
+		// An id already taken by an edge fails here and again, with
+		// its error reported, when the edge itself is added.
+		_ = p.g.InsertNode(id, "unknown", nil)
 	}
-	if err := g.InsertNode(id, "unknown", nil); err != nil {
+}
+
+func orNil(props graph.Properties) graph.Properties {
+	if len(props) == 0 {
 		return nil
 	}
-	return g.Node(id)
+	return props
 }
 
-// readQuoted consumes a leading quoted identifier and returns it plus
-// the remainder.
-func readQuoted(s string) (string, string, error) {
+// unquote decodes the quoted token at the start of s (after spaces),
+// appending its value to buf exactly as strconv.Unquote would decode
+// it, and returns the remainder of s.
+func unquote(buf []byte, s string) ([]byte, string, error) {
 	s = strings.TrimSpace(s)
 	if len(s) == 0 || s[0] != '"' {
-		return "", "", fmt.Errorf("expected quoted identifier at %q", s)
+		return buf, "", fmt.Errorf("expected quoted identifier at %q", s)
 	}
-	var b strings.Builder
-	i := 1
-	for i < len(s) {
-		switch s[i] {
-		case '\\':
-			if i+1 < len(s) {
-				// DOT label escapes: \n is a line break (Write emits it
-				// via %q); everything else unescapes to itself.
-				if s[i+1] == 'n' {
-					b.WriteByte('\n')
-				} else {
-					b.WriteByte(s[i+1])
-				}
-				i += 2
-				continue
-			}
-			return "", "", fmt.Errorf("dangling escape in %q", s)
-		case '"':
-			return b.String(), s[i+1:], nil
-		default:
-			b.WriteByte(s[i])
-			i++
+	in := s[1:]
+	for len(in) > 0 && in[0] != '"' {
+		if c := in[0]; c != '\\' && c != '\n' && c < utf8.RuneSelf {
+			buf = append(buf, c)
+			in = in[1:]
+			continue
 		}
+		r, multibyte, tail, err := strconv.UnquoteChar(in, '"')
+		if err != nil || in[0] == '\n' {
+			return buf, "", fmt.Errorf("invalid quoted string %q", s)
+		}
+		if r < utf8.RuneSelf || !multibyte {
+			buf = append(buf, byte(r))
+		} else {
+			buf = utf8.AppendRune(buf, r)
+		}
+		in = tail
 	}
-	return "", "", fmt.Errorf("unterminated identifier in %q", s)
+	if len(in) == 0 {
+		return buf, "", fmt.Errorf("unterminated identifier in %q", s)
+	}
+	return buf, in[1:], nil
 }
 
-// parseAttrs reads the [key=value ...] attribute block, extracting the
-// label attribute and splitting it into the type and properties.
-func parseAttrs(s string) (string, graph.Properties, error) {
+// attrs reads the [key=value ...] attribute block, splitting the label
+// attribute into the returned type and p.props.
+func (p *parser) attrs(s string) (string, error) {
 	s = strings.TrimSpace(s)
 	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-		return "", nil, fmt.Errorf("expected attribute block, got %q", s)
+		return "", fmt.Errorf("expected attribute block, got %q", s)
 	}
 	s = s[1 : len(s)-1]
-	var labelVal string
+	p.text = p.text[:0]
 	for len(s) > 0 {
 		s = strings.TrimSpace(s)
 		eq := strings.IndexByte(s, '=')
@@ -200,44 +265,38 @@ func parseAttrs(s string) (string, graph.Properties, error) {
 		}
 		key := strings.TrimSpace(s[:eq])
 		s = strings.TrimSpace(s[eq+1:])
-		var val string
+		dst := &p.buf
+		if key == "label" {
+			dst = &p.text
+		}
 		if strings.HasPrefix(s, "\"") {
-			v, rest, err := readQuoted(s)
-			if err != nil {
-				return "", nil, err
+			var err error
+			if *dst, s, err = unquote((*dst)[:0], s); err != nil {
+				return "", err
 			}
-			val, s = v, rest
 		} else {
 			sp := strings.IndexAny(s, " \t")
 			if sp < 0 {
-				val, s = s, ""
-			} else {
-				val, s = s[:sp], s[sp+1:]
+				sp = len(s)
 			}
-		}
-		if key == "label" {
-			labelVal = val
+			*dst = append((*dst)[:0], s[:sp]...)
+			s = s[min(sp+1, len(s)):]
 		}
 	}
 	typ := "unknown"
-	props := graph.Properties{}
-	for _, pair := range strings.Split(labelVal, "\n") {
-		if pair == "" {
+	clear(p.props)
+	for text, more := p.text, true; more; {
+		var pair []byte
+		pair, text, more = bytes.Cut(text, []byte{'\n'})
+		k, v, ok := bytes.Cut(pair, []byte{':'})
+		if !ok {
 			continue
 		}
-		colon := strings.IndexByte(pair, ':')
-		if colon < 0 {
-			continue
-		}
-		k, v := pair[:colon], pair[colon+1:]
-		if k == "type" {
-			typ = v
+		if string(k) == "type" {
+			typ = p.strs.intern(v)
 		} else {
-			props[k] = v
+			p.props[p.strs.intern(k)] = p.strs.intern(v)
 		}
 	}
-	if len(props) == 0 {
-		props = nil
-	}
-	return typ, props, nil
+	return typ, nil
 }

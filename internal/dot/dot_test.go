@@ -102,3 +102,23 @@ func TestSanitizeName(t *testing.T) {
 		t.Errorf("empty name not defaulted:\n%s", out)
 	}
 }
+
+func TestParseDecodesEscapes(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode("Process", graph.Properties{"tab": "a\tb", "ctl": "x\x01y", "bad": "\xff\u2028"})
+	if _, err := g.AddEdge(a, a, "Used", graph.Properties{"quote": `"\`}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := ParseString(WriteString(g, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.Equal(g, h) {
+		t.Errorf("escapes lost:\n%s\nvs\n%s", g, h)
+	}
+	for _, bad := range []string{`"a\q"`, `"a\x1"`, `"\u12"`} {
+		if _, err := ParseString("digraph g {\n" + bad + ` [label="type:X"];` + "\n}"); err == nil {
+			t.Errorf("accepted invalid escape in %s", bad)
+		}
+	}
+}
